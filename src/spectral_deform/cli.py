@@ -92,6 +92,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.modes < 0:
+        print(f"error: --modes {args.modes} is negative", file=sys.stderr)
+        return EXIT_USAGE
     base = load_mesh(os.path.join(args.bundle, "base.off"))
     if args.modes > base.n_vertices:
         print(
@@ -260,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--bundle", required=True)
     d.add_argument("--out", required=True)
     d.add_argument("--modes", type=int, default=0,
-                   help="number of eigenpairs (default min(500, N-1))")
+                   help="number of eigenpairs (0, the default: min(500, N-1))")
     d.add_argument("--operator", choices=["cotangent", "uniform"],
                    default="cotangent")
     d.set_defaults(func=cmd_decompose)

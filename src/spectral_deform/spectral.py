@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as dla
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 __all__ = [
     "EigensolverError",
@@ -33,15 +33,32 @@ __all__ = [
     "reconstruct_geometry",
 ]
 
-# meshes up to this size go through the dense LAPACK path by default
-DENSE_FALLBACK_N = 2000
+# "auto" takes dense LAPACK only up to this N: the dense operator alone is
+# 8 N^2 bytes (74 MB at N = 3050), which the banded solve never allocates
+DENSE_MAX_N = 2000
+# ... and only once M is at least this share of N; below it the banded solve
+# is faster (calibration table in CHANGES.md)
+DENSE_MIN_SHARE = 0.2
+
+# banded shift-invert Lanczos: eigenpairs per band (64 measured faster than
+# 40 or 100 at M = 500), already-kept eigenvalues each later band is placed
+# to find again, and how many of a band's top gaps are candidates for its cut
+_BAND_K = 64
+_BAND_OVERLAP = 6
+_BAND_CUT = 4
+
+# acceptance criterion 1, checked after every solve: max |L psi - lambda psi|
+# relative to max(1, max |L|), and max |Psi^T Psi - I|
+_RESIDUAL_TOL = 1e-7
+_ORTHONORMALITY_TOL = 1e-8
 
 _SPBS_MAGIC = b"SPBS"
 _SPBS_VERSION = 1
+_SPBS_HEADER = "<4sIQQ32s"
 
 
 class EigensolverError(RuntimeError):
-    """Sparse eigensolver failed to converge."""
+    """Eigensolver failed to converge, or its eigenpairs fail verification."""
 
 
 class FingerprintMismatchError(ValueError):
@@ -79,8 +96,9 @@ class SpectralBasis:
         object.__setattr__(self, "eigenvectors", _freeze(vecs))
         h = hashlib.sha256()
         h.update(self.operator_fingerprint.encode())
-        h.update(vals.tobytes())
-        h.update(vecs.tobytes())
+        # the arrays' buffers, not a copy of them
+        h.update(vals)
+        h.update(vecs)
         object.__setattr__(self, "_fingerprint", h.hexdigest())
 
     @property
@@ -113,7 +131,7 @@ class SpectralBasis:
     def save(self, path) -> None:
         """Write the SPBS binary format (f64 LE, eigenvectors column-major)."""
         header = struct.pack(
-            "<4sIQQ32s",
+            _SPBS_HEADER,
             _SPBS_MAGIC,
             _SPBS_VERSION,
             self.n,
@@ -127,15 +145,28 @@ class SpectralBasis:
 
     @classmethod
     def load(cls, path) -> "SpectralBasis":
+        """Read a SPBS file; ValueError unless its length matches its header."""
         with open(path, "rb") as f:
-            head = f.read(struct.calcsize("<4sIQQ32s"))
-            magic, version, n, m, fp = struct.unpack("<4sIQQ32s", head)
-            if magic != _SPBS_MAGIC:
-                raise ValueError(f"not a SPBS file (magic {magic!r})")
-            if version != _SPBS_VERSION:
-                raise ValueError(f"unsupported SPBS version {version}")
-            vals = np.frombuffer(f.read(8 * m), dtype="<f8")
-            vecs = np.frombuffer(f.read(8 * n * m), dtype="<f8")
+            data = f.read()
+        head = struct.calcsize(_SPBS_HEADER)
+        if len(data) < head:
+            raise ValueError(
+                f"truncated SPBS file {path}: expected at least {head} bytes "
+                f"for the header, got {len(data)}"
+            )
+        magic, version, n, m, fp = struct.unpack_from(_SPBS_HEADER, data)
+        if magic != _SPBS_MAGIC:
+            raise ValueError(f"not a SPBS file (magic {magic!r})")
+        if version != _SPBS_VERSION:
+            raise ValueError(f"unsupported SPBS version {version}")
+        expected = head + 8 * m * (n + 1)
+        if len(data) != expected:
+            raise ValueError(
+                f"SPBS file {path} (N={n}, M={m}) has the wrong length: "
+                f"expected {expected} bytes, got {len(data)}"
+            )
+        vals = np.frombuffer(data, dtype="<f8", count=m, offset=head)
+        vecs = np.frombuffer(data, dtype="<f8", count=n * m, offset=head + 8 * m)
         vecs = vecs.reshape((n, m), order="F")
         fp_hex = fp.hex()
         if fp_hex == "00" * 32:
@@ -205,6 +236,95 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
+def _banded_eigsh(
+    L: sparse.spmatrix, m: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The m smallest eigenpairs of L, ascending, solved band by band.
+
+    After Vallet & Levy, *Spectral Geometry Processing with Manifold
+    Harmonics* (CGF 2008). Each band is one shift-invert Lanczos call: one
+    sparse LU of L - sigma*I and the _BAND_K eigenpairs nearest sigma. The
+    first sigma sits just below zero (L is PSD, so L - sigma*I is definite).
+    Each later sigma sits above the last kept eigenvalue, placed by the
+    spectral density the previous band observed so that the new band finds
+    about _BAND_OVERLAP kept eigenvalues again. A band that does not reach
+    back to the last kept eigenvalue may have skipped some, so it is solved
+    again with sigma moved down. Every band but the last is cut in a spectral
+    gap wider than the degenerate_flags rule, so no degenerate cluster is
+    split between two bands.
+    """
+    n = L.shape[0]
+    A = L.tocsc()
+    scale = max(abs(L.diagonal()).max(), 1.0)
+    # degenerate_flags' gap, with lambda_M bounded by the largest row sum
+    gap_tol = 1e-8 * max(abs(L).sum(axis=1).max(), 1.0)
+    rng = np.random.default_rng(seed)
+    k = min(_BAND_K, n - 1)
+    kept_vals, kept_vecs = [], []
+    count, last = 0, -np.inf
+    sigma, step = -1e-3 * scale, 0.0
+    band = 0
+    while count < m:
+        band += 1
+        try:
+            vals, vecs = eigsh(A, k=k, sigma=sigma, which="LM",
+                               v0=rng.standard_normal(n))
+        except ArpackError as e:
+            raise EigensolverError(
+                f"Lanczos band {band} (sigma={sigma:.6g}, {count}/{m} "
+                f"eigenpairs kept before it) failed: {e}"
+            ) from e
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+        if count and vals[0] > last + gap_tol:
+            step /= 2
+            sigma = last + step
+            continue
+        width = vals[-1] - vals[0]
+        new = vals > last + gap_tol
+        vals, vecs = vals[new], vecs[:, new]
+        if count + len(vals) >= m:
+            take = m - count
+        else:
+            # the widest gap among the top _BAND_CUT, else the highest one
+            gaps = np.diff(vals)
+            cuts = np.flatnonzero(gaps > gap_tol)
+            if not cuts.size:
+                raise EigensolverError(
+                    f"Lanczos band {band}: no spectral gap among its "
+                    f"{len(vals)} new eigenvalues to cut the band in"
+                )
+            top = cuts[cuts >= len(gaps) - _BAND_CUT]
+            take = 1 + (top[np.argmax(gaps[top])] if top.size else cuts[-1])
+        kept_vals.append(vals[:take])
+        kept_vecs.append(vecs[:, :take])
+        count += take
+        last = vals[take - 1]
+        step = width * max(k / 2 - _BAND_OVERLAP, 1.0) / (k - 1)
+        sigma = last + step
+    return np.concatenate(kept_vals), np.hstack(kept_vecs)
+
+
+def _verify(L: sparse.spmatrix, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise EigensolverError unless the eigenpairs meet criterion 1."""
+    bound = _RESIDUAL_TOL * max(1.0, abs(L).max())
+    # column blocks keep the residual's temporaries small at large N*M
+    residual = 0.0
+    for j in range(0, len(vals), _BAND_K):
+        block = vecs[:, j:j + _BAND_K]
+        residual = max(residual, np.abs(L @ block - block * vals[j:j + _BAND_K]).max())
+    if not residual <= bound:
+        raise EigensolverError(
+            f"eigenpair residual {residual:.3g} exceeds {bound:.3g}"
+        )
+    ortho = np.abs(vecs.T @ vecs - np.eye(len(vals))).max()
+    if not ortho <= _ORTHONORMALITY_TOL:
+        raise EigensolverError(
+            f"eigenvector orthonormality error {ortho:.3g} exceeds "
+            f"{_ORTHONORMALITY_TOL:g}"
+        )
+
+
 def eigendecompose(
     L: sparse.spmatrix,
     m: int,
@@ -212,11 +332,17 @@ def eigendecompose(
     operator_fingerprint: str = "",
     seed: int = 0,
 ) -> SpectralBasis:
-    """Compute the m smallest eigenpairs of a sparse symmetric operator.
+    """Compute the m smallest eigenpairs of a sparse symmetric PSD operator.
 
-    ``method`` is "auto" (dense LAPACK for N <= 2000 or m close to N,
-    Lanczos otherwise), "dense", or "lanczos". The Lanczos path uses
-    shift-invert with a fixed seeded start vector for reproducibility.
+    ``method`` is "dense" (LAPACK on the full matrix), "lanczos" (banded
+    shift-invert Lanczos: one sparse LU and a few dozen eigenpairs per band,
+    start vectors drawn from ``seed`` for reproducibility) or "auto". "auto"
+    takes dense when m >= N - 1, or when N <= DENSE_MAX_N and m is at least
+    DENSE_MIN_SHARE of N; otherwise the banded solve.
+
+    Every solve is verified: an eigenpair residual over 1e-7 * max(1, max|L|)
+    or an orthonormality error over 1e-8 raises EigensolverError, as does a
+    Lanczos band that fails to converge.
     """
     n = L.shape[0]
     if not (1 <= m <= n):
@@ -224,27 +350,16 @@ def eigendecompose(
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "dense" if (n <= DENSE_FALLBACK_N or m >= n - 1) else "lanczos"
+        dense = m >= n - 1 or (n <= DENSE_MAX_N and m >= DENSE_MIN_SHARE * n)
+        method = "dense" if dense else "lanczos"
 
     if method == "dense":
         vals, vecs = dla.eigh(np.asarray(L.todense()), subset_by_index=[0, m - 1])
     else:
-        # shift slightly below zero: L is PSD, so L - sigma*I is definite
-        scale = max(abs(L.diagonal()).max(), 1.0)
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        try:
-            vals, vecs = eigsh(
-                L.tocsc(), k=m, sigma=-1e-3 * scale, which="LM", v0=v0
-            )
-        except ArpackNoConvergence as e:
-            raise EigensolverError(
-                f"Lanczos converged only {len(e.eigenvalues)}/{m} eigenpairs"
-            ) from e
-
-    order = np.argsort(vals, kind="stable")
-    return SpectralBasis(
-        vals[order], _fix_signs(vecs[:, order]), operator_fingerprint
-    )
+        vals, vecs = _banded_eigsh(L, m, seed)
+    _verify(L, vals, vecs)
+    # both paths return ascending eigenvalues
+    return SpectralBasis(vals, _fix_signs(vecs), operator_fingerprint)
 
 
 def _check_fingerprint(basis: SpectralBasis, fp: str) -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spectral_deform as sd
+from spectral_deform import spectral
 from spectral_deform.cli import main
 
 GEN = ["generate", "--per-mode", "3", "3", "3", "--seed", "11",
@@ -57,6 +58,30 @@ class TestDecompose:
                      "--out", str(root / "x.spbs")])
         assert code == 2
 
+    def test_negative_modes_exit_2(self, pipeline, tmp_path):
+        _, bundle, _, _ = pipeline
+        out = tmp_path / "x.spbs"
+        code = main(["decompose", "--bundle", bundle, "--modes", "-5",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_unverified_basis_exit_3(self, pipeline, tmp_path, monkeypatch):
+        _, bundle, _, _ = pipeline
+        real = spectral.eigsh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            vecs[:, 5] += 1e-4
+            return vals, vecs
+
+        monkeypatch.setattr(spectral, "eigsh", perturbed)
+        out = tmp_path / "x.spbs"
+        code = main(["decompose", "--bundle", bundle, "--modes", "40",
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+
 
 class TestEncode:
     def test_files_written_with_fingerprint(self, pipeline):
@@ -65,6 +90,15 @@ class TestEncode:
         c = sd.SpectralCoefficients.load_csv(os.path.join(coeffs, "000.csv"))
         assert c.basis_fingerprint == basis.fingerprint
         assert c.m == basis.m
+
+    def test_truncated_basis_exit_2(self, pipeline, tmp_path):
+        _, bundle, basis_path, _ = pipeline
+        cut = tmp_path / "cut.spbs"
+        with open(basis_path, "rb") as f:
+            cut.write_bytes(f.read()[:30])  # inside the 56-byte header
+        code = main(["encode", "--bundle", bundle, "--basis", str(cut),
+                     "--out", str(tmp_path / "coeffs")])
+        assert code == 2
 
     def test_base_self_encode(self, pipeline):
         _, bundle, basis_path, coeffs = pipeline

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as dla
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectral_deform as sd
+from spectral_deform import spectral
 from spectral_deform.spectral import EigensolverError, FingerprintMismatchError
 
 from conftest import grid_mesh
@@ -86,6 +89,108 @@ class TestEigendecompose:
             sd.eigendecompose(L, 26)
         with pytest.raises(ValueError):
             sd.eigendecompose(L, 0)
+
+
+def count_lanczos_bands(monkeypatch) -> list:
+    """Record each shift-invert Lanczos call (one per band)."""
+    calls = []
+    real = spectral.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["sigma"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counted)
+    return calls
+
+
+class TestBandedSolve:
+    def test_grid_clusters_match_dense(self):
+        # the square grid's symmetry gives many exactly degenerate pairs
+        L = sd.cotangent_laplacian(grid_mesh(30, 30))
+        m = 300
+        banded = sd.eigendecompose(L, m, method="lanczos")
+        dense = sd.eigendecompose(L, m + 1, method="dense")
+        np.testing.assert_allclose(
+            banded.eigenvalues, dense.eigenvalues[:m], rtol=0, atol=1e-10
+        )
+        # clusters by the degenerate_flags gap rule; one past M shows
+        # whether M itself cuts the last cluster
+        vals = dense.eigenvalues
+        tol = 1e-8 * max(abs(vals[-1]), 1.0)
+        bounds = [0, *(np.flatnonzero(np.diff(vals) >= tol) + 1), m + 1]
+        multiple = 0
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b > m:
+                break
+            pd = dense.eigenvectors[:, a:b] @ dense.eigenvectors[:, a:b].T
+            pb = banded.eigenvectors[:, a:b] @ banded.eigenvectors[:, a:b].T
+            assert abs(pd - pb).max() <= 1e-10, (a, b)
+            multiple += b - a > 1
+        assert multiple >= 50
+
+    def test_beam_m500_matches_dense_across_bands(self, monkeypatch):
+        L = sd.cotangent_laplacian(sd.generate_hat_beam(sd.BeamParams()))
+        assert L.shape[0] == 3050
+        bands = count_lanczos_bands(monkeypatch)
+        banded = sd.eigendecompose(L, 500, method="lanczos")
+        assert len(bands) >= 5
+        oracle = dla.eigh(L.toarray(), subset_by_index=[0, 499], eigvals_only=True)
+        np.testing.assert_allclose(banded.eigenvalues, oracle, rtol=0, atol=1e-10)
+
+    def test_whole_spectrum(self, grid_basis):
+        # the last band reaches the top of the spectrum
+        _, L, dense = grid_basis
+        banded = sd.eigendecompose(L, L.shape[0], method="lanczos")
+        np.testing.assert_allclose(
+            banded.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "params, m, banded",
+        [
+            (None, 20, True),  # N = 500, small share of N
+            (None, 200, False),  # large share of N
+            (sd.BeamParams(axial_segments=40), 400, True),  # N = 2050 > DENSE_MAX_N
+        ],
+    )
+    def test_auto_chooses_by_share_of_n(self, small_beam, monkeypatch, params, m, banded):
+        mesh = small_beam if params is None else sd.generate_hat_beam(params)
+        bands = count_lanczos_bands(monkeypatch)
+        sd.eigendecompose(sd.cotangent_laplacian(mesh), m)
+        assert bool(bands) == banded
+
+
+class TestVerification:
+    def test_band_no_convergence_names_band(self, small_beam, monkeypatch):
+        real = spectral.eigsh
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ArpackNoConvergence(
+                    "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))
+                )
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", flaky)
+        L = sd.cotangent_laplacian(small_beam)
+        with pytest.raises(EigensolverError, match="band 2 "):
+            sd.eigendecompose(L, 100, method="lanczos")
+
+    def test_perturbed_dense_vector_rejected(self, small_beam, monkeypatch):
+        real = dla.eigh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            vecs[:, 3] += 1e-4
+            return vals, vecs
+
+        monkeypatch.setattr(spectral.dla, "eigh", perturbed)
+        L = sd.cotangent_laplacian(small_beam)
+        with pytest.raises(EigensolverError, match="residual"):
+            sd.eigendecompose(L, 20, method="dense")
 
 
 class TestEncodeDecode:
@@ -226,6 +331,25 @@ class TestPersistence:
         path = tmp_path / "junk.spbs"
         path.write_bytes(b"NOPE" + b"\0" * 60)
         with pytest.raises(ValueError, match="magic"):
+            sd.SpectralBasis.load(path)
+
+    @pytest.mark.parametrize("cut", ["header", "values", "vectors", "trailing"])
+    def test_spbs_length_checked(self, grid_basis, tmp_path, cut):
+        _, _, basis = grid_basis
+        path = tmp_path / "b.spbs"
+        basis.save(path)
+        data = path.read_bytes()
+        head = 56
+        data, expected = {
+            "header": (data[:20], head),
+            "values": (data[: head + 8 * basis.m // 2], len(data)),
+            "vectors": (data[:-5], len(data)),
+            "trailing": (data + b"\0" * 8, len(data)),
+        }[cut]
+        path.write_bytes(data)
+        with pytest.raises(
+            ValueError, match=rf"expected (at least )?{expected} bytes.* got {len(data)}$"
+        ):
             sd.SpectralBasis.load(path)
 
     def test_coefficients_csv_roundtrip(self, grid_basis, tmp_path):
