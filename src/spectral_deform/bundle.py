@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._files import open_new
 from .mesh import DeformedState, MeshError, TriangleMesh, load_mesh, save_mesh
 
 __all__ = [
@@ -302,13 +303,17 @@ def save_bundle(directory, bundle: SimulationBundle) -> None:
             os.path.join(directory, "states", f"{i:03d}.off"),
             TriangleMesh(state.coordinates, bundle.base.triangles),
         )
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
+    with open_new(os.path.join(directory, "manifest.json")) as f:
         json.dump(bundle.manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def load_bundle(directory) -> SimulationBundle:
-    """Read a bundle directory back."""
+    """Read a bundle directory back.
+
+    Raises MeshError unless every state has the base's vertex count and the
+    base's triangles, in the same order.
+    """
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
     base = load_mesh(os.path.join(directory, "base.off"))
@@ -319,5 +324,7 @@ def load_bundle(directory) -> SimulationBundle:
             raise MeshError(
                 f"state {i} has {mesh.n_vertices} vertices, base has {base.n_vertices}"
             )
+        if not np.array_equal(mesh.triangles, base.triangles):
+            raise MeshError(f"state {i} has different triangles from the base")
         states.append(DeformedState(mesh.vertices, label=entry["label"]))
     return SimulationBundle(base=base, states=states, manifest=manifest)

@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from ._files import open_new
 from .bundle import (
     BeamParams,
     bundle_from_manifest,
@@ -67,7 +68,14 @@ def _load_coeff_dir(directory: str) -> tuple[list[str], list[SpectralCoefficient
     if not paths:
         raise FileNotFoundError(f"no coefficient CSVs in {directory}")
     ids = [os.path.splitext(os.path.basename(p))[0] for p in paths]
-    return ids, [SpectralCoefficients.load_csv(p) for p in paths]
+    coeffs = [SpectralCoefficients.load_csv(p) for p in paths]
+    # a file cut after whole rows parses; only its row count shows the cut
+    for p, c in zip(paths, coeffs):
+        if c.m != coeffs[0].m:
+            raise ValueError(
+                f"{p} has {c.m} coefficient rows, {paths[0]} has {coeffs[0].m}"
+            )
+    return ids, coeffs
 
 
 def cmd_generate(args) -> int:
@@ -188,7 +196,7 @@ def cmd_reconstruct(args) -> int:
             TriangleMesh(coords, base.triangles),
         )
         rows.append((name, reconstruction_error(basis, coeffs, subset, reference)))
-    with open(os.path.join(args.out, "errors.csv"), "w") as f:
+    with open_new(os.path.join(args.out, "errors.csv")) as f:
         f.write("reconstruction,rms_error\n")
         for name, err in rows:
             f.write(f"{name},{float(err)!r}\n")

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import open_new
 from .spectral import (
     FingerprintMismatchError,
     SpectralBasis,
@@ -97,7 +98,7 @@ class DeformationDescriptor:
         return json.dumps(doc, indent=2)
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
+        with open_new(path) as f:
             f.write(self.to_json() + "\n")
 
     @classmethod

@@ -7,11 +7,13 @@ spectral coefficients compare shapes through shared vertex indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+
+from ._files import open_new
 
 __all__ = [
     "MeshError",
@@ -102,7 +104,6 @@ class DeformedState:
 
     coordinates: np.ndarray
     label: str | None = None
-    timestep: int | None = None
 
     def __post_init__(self):
         c = np.ascontiguousarray(np.asarray(self.coordinates, dtype=np.float64))
@@ -241,7 +242,7 @@ def load_mesh(path) -> TriangleMesh:
 
 
 def save_mesh(path, mesh: TriangleMesh) -> None:
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write(write_mesh(mesh, _fmt_from_path(path)))
 
 

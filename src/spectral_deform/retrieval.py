@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import open_new
 from .descriptor import DeformationDescriptor
 from .spectral import FingerprintMismatchError, SpectralCoefficients
 
@@ -199,14 +200,14 @@ def cluster_coefficients(
 
 
 def write_ranking_csv(path, ranking: SimilarityRanking) -> None:
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write("shape_id,score,label\n")
         for i, s in ranking:
             f.write(f"{i},{float(s)!r},{ranking.label}\n")
 
 
 def write_assignment_csv(path, ids: list, assignment: ClusterAssignment) -> None:
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write("shape_id,cluster\n")
         for i, c in zip(ids, assignment.labels):
             f.write(f"{i},{c}\n")
@@ -214,7 +215,7 @@ def write_assignment_csv(path, ids: list, assignment: ClusterAssignment) -> None
 
 def write_scatter_data(path, bundle_coeffs: list[SpectralCoefficients]) -> None:
     """First-eigenvector xyz coefficients per shape, gnuplot-compatible."""
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write("# alpha_x alpha_y alpha_z\n")
         for c in bundle_coeffs:
             x, y, z = c.values[0]

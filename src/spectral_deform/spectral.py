@@ -12,6 +12,7 @@ a connected mesh.
 from __future__ import annotations
 
 import hashlib
+import io
 import struct
 import warnings
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ import numpy as np
 from scipy import linalg as dla
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, eigsh
+
+from ._files import open_new
 
 __all__ = [
     "EigensolverError",
@@ -55,6 +58,8 @@ _ORTHONORMALITY_TOL = 1e-8
 _SPBS_MAGIC = b"SPBS"
 _SPBS_VERSION = 1
 _SPBS_HEADER = "<4sIQQ32s"
+
+_CSV_HEADER = "index,alpha_x,alpha_y,alpha_z\n"
 
 
 class EigensolverError(RuntimeError):
@@ -138,7 +143,7 @@ class SpectralBasis:
             self.m,
             bytes.fromhex(self.operator_fingerprint or "00" * 32),
         )
-        with open(path, "wb") as f:
+        with open_new(path, binary=True) as f:
             f.write(header)
             f.write(self.eigenvalues.astype("<f8").tobytes())
             f.write(np.asfortranarray(self.eigenvectors).astype("<f8").tobytes("F"))
@@ -194,31 +199,52 @@ class SpectralCoefficients:
         return self.values.shape[0]
 
     def save_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with open_new(path) as f:
             if self.basis_fingerprint:
                 f.write(f"# basis_fingerprint: {self.basis_fingerprint}\n")
-            f.write("index,alpha_x,alpha_y,alpha_z\n")
+            f.write(_CSV_HEADER)
             for i, (x, y, z) in enumerate(self.values):
                 f.write(f"{i},{float(x)!r},{float(y)!r},{float(z)!r}\n")
 
     @classmethod
     def load_csv(cls, path) -> "SpectralCoefficients":
-        fp = ""
-        rows = []
+        """Read a CSV written by ``save_csv``.
+
+        Raises ValueError naming the file unless the header line is present
+        and every data row holds 4 numeric fields: an index counting 0..M-1
+        in order, then a finite (alpha_x, alpha_y, alpha_z).
+        """
         with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "basis_fingerprint:" in line:
-                        fp = line.split("basis_fingerprint:", 1)[1].strip()
-                    continue
-                if line.startswith("index,"):
-                    continue
-                parts = line.split(",")
-                rows.append([float(parts[1]), float(parts[2]), float(parts[3])])
-        return cls(np.array(rows), fp)
+            head, header, body = f.read().partition(_CSV_HEADER)
+        if not header:
+            raise ValueError(
+                f"coefficient CSV {path} lacks the header {_CSV_HEADER.strip()!r}"
+            )
+        fp = ""
+        for line in head.splitlines():
+            line = line.strip()
+            if line.startswith("#") and "basis_fingerprint:" in line:
+                fp = line.split("basis_fingerprint:", 1)[1].strip()
+        if not body.strip():
+            raise ValueError(f"coefficient CSV {path} has no data rows")
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise ValueError(f"malformed coefficient CSV {path}: {e}") from e
+        if rows.shape[1] != 4:
+            raise ValueError(
+                f"coefficient CSV {path}: rows have {rows.shape[1]} fields, expected 4"
+            )
+        wrong = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+        if wrong.size:
+            raise ValueError(
+                f"coefficient CSV {path}: data row {wrong[0]} has index "
+                f"{rows[wrong[0], 0]:g}, expected {wrong[0]}"
+            )
+        try:
+            return cls(rows[:, 1:], fp)
+        except ValueError as e:
+            raise ValueError(f"coefficient CSV {path}: {e}") from e
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

@@ -221,3 +221,148 @@ class TestCluster:
             assert main(["cluster", "--coeffs-dir", coeffs, "-k", "3",
                          "--seed", "9", "--out", out]) == 0
         assert open(a).read() == open(b).read()
+
+
+def _old_load_csv(path):
+    """The line-by-line parser load_csv replaced, kept as the reference."""
+    rows = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("index,"):
+                continue
+            parts = line.split(",")
+            rows.append([float(parts[1]), float(parts[2]), float(parts[3])])
+    return np.array(rows)
+
+
+# data row 3 of a coefficient CSV, corrupted four ways
+CSV_FAULTS = {
+    "short_row": lambda rows: rows[:3] + ["3,1.0,2.0"] + rows[4:],
+    "non_numeric": lambda rows: rows[:3] + ["3,1.0,abc,2.0"] + rows[4:],
+    "reordered": lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:],
+    "missing_row": lambda rows: rows[:3] + rows[4:],
+}
+
+
+def _copy_coeffs(pipeline, tmp_path):
+    _, _, _, coeffs = pipeline
+    out = tmp_path / "coeffs"
+    out.mkdir()
+    for name in os.listdir(coeffs):
+        with open(os.path.join(coeffs, name)) as f:
+            (out / name).write_text(f.read())
+    return out
+
+
+class TestCoefficientCsv:
+    def test_values_bitwise_equal_to_line_parser(self, pipeline):
+        _, _, _, coeffs = pipeline
+        for name in sorted(os.listdir(coeffs)):
+            path = os.path.join(coeffs, name)
+            np.testing.assert_array_equal(
+                sd.SpectralCoefficients.load_csv(path).values, _old_load_csv(path)
+            )
+
+    @pytest.fixture(params=sorted(CSV_FAULTS))
+    def corrupt_dir(self, request, pipeline, tmp_path):
+        out = _copy_coeffs(pipeline, tmp_path)
+        target = out / "003.csv"
+        lines = target.read_text().splitlines()
+        head, rows = lines[:2], lines[2:]
+        target.write_text("\n".join(head + CSV_FAULTS[request.param](rows)) + "\n")
+        return out
+
+    def test_cluster_exit_2(self, corrupt_dir, tmp_path, capsys):
+        code = main(["cluster", "--coeffs-dir", str(corrupt_dir), "-k", "3",
+                     "--out", str(tmp_path / "a.csv")])
+        assert code == 2
+        assert "003.csv" in capsys.readouterr().err
+
+    def test_descriptor_exit_2(self, corrupt_dir, tmp_path, capsys):
+        code = main(["descriptor", "--coeffs", str(corrupt_dir / "003.csv"),
+                     "--out", str(tmp_path / "d.json")])
+        assert code == 2
+        assert "003.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["cluster", "filter"])
+    def test_rows_cut_at_the_end_exit_2(self, stage, pipeline, tmp_path, capsys):
+        out = _copy_coeffs(pipeline, tmp_path)
+        target = out / "003.csv"
+        target.write_text("\n".join(target.read_text().splitlines()[:-5]) + "\n")
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", str(target), "--out", desc]) == 0
+        args = {
+            "cluster": ["cluster", "--coeffs-dir", str(out), "-k", "3"],
+            "filter": ["filter", "--descriptor", desc, "--coeffs-dir", str(out)],
+        }[stage]
+        assert main(args + ["--out", str(tmp_path / "o.csv")]) == 2
+        assert "003.csv" in capsys.readouterr().err
+
+
+class TestStateConnectivity:
+    def test_reordered_face_exit_2(self, pipeline, tmp_path, capsys):
+        _, bundle, basis, _ = pipeline
+        copy = tmp_path / "bundle"
+        (copy / "states").mkdir(parents=True)
+        for name in ["base.off", "manifest.json"] + [
+            os.path.join("states", s) for s in os.listdir(os.path.join(bundle, "states"))
+        ]:
+            with open(os.path.join(bundle, name)) as f:
+                (copy / name).write_text(f.read())
+        state = copy / "states" / "004.off"
+        lines = state.read_text().splitlines()
+        n_v = int(lines[1].split()[0])
+        _, a, b, c = lines[2 + n_v].split()
+        lines[2 + n_v] = f"3 {b} {c} {a}"  # same triangle, vertices rotated
+        state.write_text("\n".join(lines) + "\n")
+        code = main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")])
+        assert code == 2
+        assert "state 4" in capsys.readouterr().err
+
+
+def _stage_args(stage, pipeline, tmp_path, variant):
+    """CLI arguments for one stage; the two variants write different bytes."""
+    _, bundle, basis, coeffs = pipeline
+    shape = os.path.join(coeffs, ("006.csv", "000.csv")[variant])
+    desc = str(tmp_path / f"in{variant}.json")
+    assert main(["descriptor", "--coeffs", shape, "--augment", "--out", desc]) == 0
+    return {
+        "descriptor": ["descriptor", "--coeffs", shape,
+                       "--label", f"v{variant}", "--out", str(tmp_path / "d.json")],
+        "filter": ["filter", "--descriptor", desc, "--coeffs-dir", coeffs,
+                   "--top-k", ("9", "3")[variant], "--out", str(tmp_path / "r.csv")],
+        "cluster": ["cluster", "--coeffs-dir", coeffs, "-k", ("3", "2")[variant],
+                    "--out", str(tmp_path / "a.csv")],
+        "reconstruct": ["reconstruct", "--basis", basis, "--coeffs", shape,
+                        "--descriptor", desc,
+                        "--mesh", os.path.join(bundle, "base.off"),
+                        "--out", str(tmp_path / "recon")],
+    }[stage]
+
+
+STAGE_OUTPUTS = {
+    "descriptor": ["d.json"],
+    "filter": ["r.csv"],
+    "cluster": ["a.csv"],
+    "reconstruct": ["recon/recon_descriptor.off", "recon/recon_first_m_ordered.off",
+                    "recon/errors.csv"],
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_OUTPUTS))
+def test_rerun_replaces_outputs(stage, pipeline, tmp_path):
+    paths = [tmp_path / name for name in STAGE_OUTPUTS[stage]]
+    assert main(_stage_args(stage, pipeline, tmp_path, 0)) == 0
+    old = [p.read_bytes() for p in paths]
+    held = [open(p, "rb") for p in paths]
+    try:
+        assert main(_stage_args(stage, pipeline, tmp_path, 1)) == 0
+        for path, f, before in zip(paths, held, old):
+            assert os.fstat(f.fileno()).st_nlink == 0, path
+            assert f.read() == before
+            assert path.read_bytes() != before
+    finally:
+        for f in held:
+            f.close()
