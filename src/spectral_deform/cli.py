@@ -29,9 +29,9 @@ from .bundle import (
 from .descriptor import (
     DeformationDescriptor,
     EmptySelectionError,
+    _difference,
+    _rms_error,
     complete_descriptor,
-    reconstruction_error,
-    select_by_baseline_difference,
     select_by_threshold,
     statistical_threshold,
     tune_threshold,
@@ -39,6 +39,7 @@ from .descriptor import (
 from .laplacian import cotangent_laplacian, operator_fingerprint, uniform_laplacian
 from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
 from .retrieval import (
+    SimilarityRanking,
     cluster_coefficients,
     filter_bundle,
     rank_bundle,
@@ -51,6 +52,7 @@ from .spectral import (
     FingerprintMismatchError,
     SpectralBasis,
     SpectralCoefficients,
+    _check_fingerprint,
     eigendecompose,
     encode_geometry,
     reconstruct_geometry,
@@ -100,17 +102,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.modes < 0:
-        print(f"error: --modes {args.modes} is negative", file=sys.stderr)
-        return EXIT_USAGE
     base = load_mesh(os.path.join(args.bundle, "base.off"))
-    if args.modes > base.n_vertices:
-        print(
-            f"error: --modes {args.modes} exceeds vertex count {base.n_vertices}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    m = args.modes if args.modes > 0 else min(500, base.n_vertices - 1)
+    # eigendecompose rejects a negative M or one above N
+    m = args.modes or min(500, base.n_vertices - 1)
     if args.operator == "uniform":
         L = uniform_laplacian(base)
     else:
@@ -148,18 +142,12 @@ def cmd_descriptor(args) -> int:
         if args.verbose:
             print(f"tuned t={t:g}, achieved RMS {achieved:g}")
     else:
+        selected, mode = coeffs, "magnitude"
         if args.baseline is not None:
             base = SpectralCoefficients.load_csv(args.baseline)
-            delta = SpectralCoefficients(
-                coeffs.values - base.values, coeffs.basis_fingerprint
-            )
-            t = args.threshold if args.threshold is not None else statistical_threshold(delta)
-            idx = select_by_baseline_difference(coeffs, base, t)
-            mode = "baseline_difference"
-        else:
-            t = args.threshold if args.threshold is not None else statistical_threshold(coeffs)
-            idx = select_by_threshold(coeffs, t)
-            mode = "magnitude"
+            selected, mode = _difference(coeffs, base), "baseline_difference"
+        t = args.threshold if args.threshold is not None else statistical_threshold(selected)
+        idx = select_by_threshold(selected, t)
         desc = complete_descriptor(
             idx,
             coeffs,
@@ -179,23 +167,21 @@ def cmd_reconstruct(args) -> int:
     coeffs = SpectralCoefficients.load_csv(args.coeffs)
     base = load_mesh(args.mesh)
     desc = DeformationDescriptor.load(args.descriptor)
+    _check_fingerprint(desc.basis_fingerprint, coeffs.basis_fingerprint,
+                       "descriptor and coefficients")
     reference = reconstruct_geometry(basis, coeffs, None)
-
-    subset_desc = desc.indices
-    m = desc.size_m
-    subset_ordered = np.arange(m)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for name, subset in (
-        ("descriptor", subset_desc),
-        ("first_m_ordered", subset_ordered),
+        ("descriptor", desc.indices),
+        ("first_m_ordered", np.arange(desc.size_m)),
     ):
         coords = reconstruct_geometry(basis, coeffs, subset)
         save_mesh(
             os.path.join(args.out, f"recon_{name}.off"),
             TriangleMesh(coords, base.triangles),
         )
-        rows.append((name, reconstruction_error(basis, coeffs, subset, reference)))
+        rows.append((name, _rms_error(coords, reference)))
     with open_new(os.path.join(args.out, "errors.csv")) as f:
         f.write("reconstruction,rms_error\n")
         for name, err in rows:
@@ -210,19 +196,12 @@ def cmd_filter(args) -> int:
     desc = DeformationDescriptor.load(args.descriptor)
     ids, coeffs = _load_coeff_dir(args.coeffs_dir)
     ranking = rank_bundle(desc, coeffs, ids)
-    if args.top_k is not None:
-        keep = set(
-            filter_bundle(desc, coeffs, ids, top_k=args.top_k)
-        )
-    elif args.min_score is not None:
-        keep = set(filter_bundle(desc, coeffs, ids, min_score=args.min_score))
-    else:
-        keep = set(ids)
-    kept = type(ranking)(
-        ids=tuple(i for i in ranking.ids if i in keep),
-        scores=np.array([s for i, s in ranking if i in keep]),
-        label=ranking.label,
-    )
+    n = len(ranking.ids)
+    if args.top_k is not None or args.min_score is not None:
+        # a prefix of the ranking; filter_bundle ranks the bundle again
+        n = len(filter_bundle(desc, coeffs, ids,
+                              top_k=args.top_k, min_score=args.min_score))
+    kept = SimilarityRanking(ranking.ids[:n], ranking.scores[:n], ranking.label)
     write_ranking_csv(args.out, kept)
     if args.verbose:
         print(f"wrote {len(kept.ids)} ranked shapes -> {args.out}")
@@ -231,9 +210,6 @@ def cmd_filter(args) -> int:
 
 def cmd_cluster(args) -> int:
     ids, coeffs = _load_coeff_dir(args.coeffs_dir)
-    if args.k < 2:
-        print(f"error: need k >= 2, got {args.k}", file=sys.stderr)
-        return EXIT_USAGE
     assignment = cluster_coefficients(
         coeffs, args.k, feature=args.feature, m=args.first_m, seed=args.seed
     )

@@ -17,9 +17,9 @@ import numpy as np
 
 from ._files import open_new
 from .spectral import (
-    FingerprintMismatchError,
     SpectralBasis,
     SpectralCoefficients,
+    _check_fingerprint,
     reconstruct_geometry,
 )
 
@@ -37,11 +37,6 @@ __all__ = [
 
 class EmptySelectionError(ValueError):
     """Threshold selected no coefficients; decrease the threshold."""
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -72,8 +67,10 @@ class DeformationDescriptor:
             raise ValueError("descriptor indices must be strictly increasing")
         if self.selection_mode not in ("magnitude", "baseline_difference"):
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
-        object.__setattr__(self, "indices", _freeze(idx))
-        object.__setattr__(self, "triples", _freeze(tri))
+        idx.setflags(write=False)
+        tri.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "triples", tri)
 
     @property
     def size_m(self) -> int:
@@ -140,22 +137,22 @@ def select_by_threshold(coeffs: SpectralCoefficients, t: float) -> np.ndarray:
     return idx
 
 
+def _difference(
+    deformed: SpectralCoefficients, base: SpectralCoefficients
+) -> SpectralCoefficients:
+    """deformed - base, for coefficients of one basis."""
+    _check_fingerprint(deformed.basis_fingerprint, base.basis_fingerprint,
+                       "deformed and baseline coefficients")
+    return SpectralCoefficients(
+        deformed.values - base.values, deformed.basis_fingerprint
+    )
+
+
 def select_by_baseline_difference(
     deformed: SpectralCoefficients, base: SpectralCoefficients, t: float
 ) -> np.ndarray:
     """Indices where any axis of (deformed - base) exceeds t in magnitude."""
-    if (
-        deformed.basis_fingerprint
-        and base.basis_fingerprint
-        and deformed.basis_fingerprint != base.basis_fingerprint
-    ):
-        raise FingerprintMismatchError(
-            "deformed and baseline coefficients come from different bases"
-        )
-    delta = SpectralCoefficients(
-        deformed.values - base.values, deformed.basis_fingerprint
-    )
-    return select_by_threshold(delta, t)
+    return select_by_threshold(_difference(deformed, base), t)
 
 
 def complete_descriptor(
@@ -209,6 +206,10 @@ def reconstruction_error(
         recon = np.zeros((basis.n, 3))
     else:
         recon = reconstruct_geometry(basis, coeffs, subset)
+    return _rms_error(recon, reference)
+
+
+def _rms_error(recon: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((recon - reference) ** 2, axis=1))))
 
 

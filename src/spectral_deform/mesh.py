@@ -35,11 +35,6 @@ class MeshError(ValueError):
     """Invalid mesh data or unparseable mesh file."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class TriangleMesh:
     """Immutable triangle mesh: vertex coordinates plus connectivity.
@@ -79,8 +74,10 @@ class TriangleMesh:
         n_comp = _component_count(v.shape[0], t)
         if n_comp != 1:
             raise MeshError(f"mesh is disconnected ({n_comp} components)")
-        object.__setattr__(self, "vertices", _freeze(v))
-        object.__setattr__(self, "triangles", _freeze(t))
+        v.setflags(write=False)
+        t.setflags(write=False)
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "triangles", t)
 
     @property
     def n_vertices(self) -> int:
@@ -109,7 +106,8 @@ class DeformedState:
         c = np.ascontiguousarray(np.asarray(self.coordinates, dtype=np.float64))
         if c.ndim != 2 or c.shape[1] != 3:
             raise MeshError(f"coordinates must be (N, 3), got {c.shape}")
-        object.__setattr__(self, "coordinates", _freeze(c))
+        c.setflags(write=False)
+        object.__setattr__(self, "coordinates", c)
 
 
 def _component_count(n: int, triangles: np.ndarray) -> int:

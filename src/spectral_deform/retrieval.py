@@ -4,7 +4,8 @@ Similarity between a descriptor and a candidate shape is the cosine of the
 two length-3m vectors formed by flattening the coefficient triples at the
 descriptor's indices only: the descriptor is the feature. Signs are kept,
 so opposite deformation directions (upward vs. downward bend) score
-negatively against each other.
+negatively against each other. A bundle is scored and clustered as one
+(S, M, 3) stack of its coefficients, all from one basis.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ._files import open_new
 from .descriptor import DeformationDescriptor
-from .spectral import FingerprintMismatchError, SpectralCoefficients
+from .spectral import SpectralCoefficients, _check_fingerprint
 
 __all__ = [
     "SimilarityRanking",
@@ -52,15 +53,40 @@ class ClusterAssignment:
     inertia: float
 
 
-def _check_fp(descriptor: DeformationDescriptor, coeffs: SpectralCoefficients) -> None:
-    if (
-        descriptor.basis_fingerprint
-        and coeffs.basis_fingerprint
-        and descriptor.basis_fingerprint != coeffs.basis_fingerprint
-    ):
-        raise FingerprintMismatchError(
-            "descriptor and candidate coefficients come from different bases"
+def _stack(bundle_coeffs: list[SpectralCoefficients]) -> tuple[np.ndarray, str]:
+    """A bundle's coefficients as one (S, M, 3) array and its one fingerprint."""
+    if not bundle_coeffs:
+        raise ValueError("bundle is empty")
+    fp = next((c.basis_fingerprint for c in bundle_coeffs if c.basis_fingerprint), "")
+    for k, c in enumerate(bundle_coeffs):
+        _check_fingerprint(fp, c.basis_fingerprint, f"shape {k} and the bundle")
+    return np.stack([c.values for c in bundle_coeffs]), fp
+
+
+def _scores(
+    descriptor: DeformationDescriptor, stack: np.ndarray, fp: str
+) -> np.ndarray:
+    """Cosine of the descriptor against every shape of a stack, in one contraction."""
+    _check_fingerprint(descriptor.basis_fingerprint, fp,
+                       "descriptor and candidate coefficients")
+    if descriptor.indices.max() >= stack.shape[1]:
+        raise ValueError(
+            f"descriptor index {descriptor.indices.max()} out of range for "
+            f"M={stack.shape[1]} coefficients"
         )
+    a = descriptor.triples.ravel()
+    b = stack[:, descriptor.indices].reshape(len(stack), 1, -1)
+    # a (1, 3m) @ (3m, 1) product per shape is one BLAS dot each, so a score
+    # has the bits of scoring its shape alone; b @ a (gemv) differs in the
+    # last bits
+    dots = (b @ a[:, None])[:, 0, 0]
+    na, nb = np.linalg.norm(a), np.sqrt(b @ b.transpose(0, 2, 1))[:, 0, 0]
+    ok = (na >= DEGENERATE_NORM) & (nb >= DEGENERATE_NORM)
+    if not ok.all():
+        warnings.warn("degenerate coefficient vector: cosine similarity set to 0")
+    scores = np.zeros(len(stack))
+    scores[ok] = dots[ok] / (na * nb[ok])
+    return scores
 
 
 def cosine_similarity(
@@ -71,19 +97,7 @@ def cosine_similarity(
     Returns 0.0 (with a warning) if either flattened vector is degenerate
     (norm below 1e-14).
     """
-    _check_fp(descriptor, coeffs)
-    if descriptor.indices.max() >= coeffs.m:
-        raise ValueError(
-            f"descriptor index {descriptor.indices.max()} out of range for "
-            f"M={coeffs.m} coefficients"
-        )
-    a = descriptor.triples.ravel()
-    b = coeffs.values[descriptor.indices].ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < DEGENERATE_NORM or nb < DEGENERATE_NORM:
-        warnings.warn("degenerate coefficient vector: cosine similarity set to 0")
-        return 0.0
-    return float(a @ b / (na * nb))
+    return float(_scores(descriptor, *_stack([coeffs]))[0])
 
 
 def rank_bundle(
@@ -92,13 +106,12 @@ def rank_bundle(
     ids: list | None = None,
 ) -> SimilarityRanking:
     """Rank every shape by descending similarity; ties broken by ascending id."""
-    if not bundle_coeffs:
-        raise ValueError("bundle is empty")
+    stack, fp = _stack(bundle_coeffs)
     if ids is None:
-        ids = list(range(len(bundle_coeffs)))
-    if len(ids) != len(bundle_coeffs):
+        ids = list(range(len(stack)))
+    if len(ids) != len(stack):
         raise ValueError("ids and bundle length differ")
-    scores = np.array([cosine_similarity(descriptor, c) for c in bundle_coeffs])
+    scores = _scores(descriptor, stack, fp)
     order = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))
     return SimilarityRanking(
         ids=tuple(ids[k] for k in order),
@@ -182,13 +195,13 @@ def cluster_coefficients(
     n = len(bundle_coeffs)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= {n} shapes, got k={k}")
+    stack, _ = _stack(bundle_coeffs)
     if feature == "first_eigenvector_xyz":
-        x = np.array([c.values[0] for c in bundle_coeffs])
+        x = stack[:, 0]
     elif feature == "first_m":
         if m is None or m < 1:
             raise ValueError("feature 'first_m' needs m >= 1")
-        m = min(m, min(c.m for c in bundle_coeffs))
-        x = np.array([c.values[:m].ravel() for c in bundle_coeffs])
+        x = stack[:, :m].reshape(n, -1)
     else:
         raise ValueError(f"unknown feature {feature!r}")
     if len(np.unique(x, axis=0)) < k:
@@ -215,8 +228,8 @@ def write_assignment_csv(path, ids: list, assignment: ClusterAssignment) -> None
 
 def write_scatter_data(path, bundle_coeffs: list[SpectralCoefficients]) -> None:
     """First-eigenvector xyz coefficients per shape, gnuplot-compatible."""
+    stack, _ = _stack(bundle_coeffs)
     with open_new(path) as f:
         f.write("# alpha_x alpha_y alpha_z\n")
-        for c in bundle_coeffs:
-            x, y, z = c.values[0]
+        for x, y, z in stack[:, 0]:
             f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")

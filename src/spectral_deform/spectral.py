@@ -70,11 +70,6 @@ class FingerprintMismatchError(ValueError):
     """Coefficients or descriptor were produced against a different basis."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
     """First M eigenpairs of a symmetric mesh operator.
@@ -97,8 +92,10 @@ class SpectralBasis:
             )
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", _freeze(vals))
-        object.__setattr__(self, "eigenvectors", _freeze(vecs))
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "eigenvectors", vecs)
         h = hashlib.sha256()
         h.update(self.operator_fingerprint.encode())
         # the arrays' buffers, not a copy of them
@@ -192,7 +189,8 @@ class SpectralCoefficients:
             raise ValueError(f"coefficients must be (M, 3), got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "values", _freeze(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def m(self) -> int:
@@ -388,11 +386,13 @@ def eigendecompose(
     return SpectralBasis(vals, _fix_signs(vecs), operator_fingerprint)
 
 
-def _check_fingerprint(basis: SpectralBasis, fp: str) -> None:
-    if fp and basis.fingerprint != fp:
+def _check_fingerprint(a: str, b: str, what: str) -> None:
+    """The one fingerprint rule: an empty one is unknown and passes, two
+    known ones must be equal; else FingerprintMismatchError."""
+    if a and b and a != b:
         raise FingerprintMismatchError(
-            f"basis fingerprint {basis.fingerprint[:12]}... does not match "
-            f"coefficients fingerprint {fp[:12]}..."
+            f"{what} come from different bases: fingerprint {a[:12]}... "
+            f"does not match {b[:12]}..."
         )
 
 
@@ -437,7 +437,8 @@ def reconstruct_geometry(
     ``subset=None`` uses all M indices. An empty subset yields an all-zero
     geometry with a warning rather than an error.
     """
-    _check_fingerprint(basis, coeffs.basis_fingerprint)
+    _check_fingerprint(basis.fingerprint, coeffs.basis_fingerprint,
+                       "basis and coefficients")
     if coeffs.m != basis.m:
         raise ValueError(f"coefficients M={coeffs.m} but basis M={basis.m}")
     if subset is None:

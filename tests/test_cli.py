@@ -25,6 +25,37 @@ def pipeline(tmp_path_factory):
     return root, bundle, basis, coeffs
 
 
+@pytest.fixture(scope="module")
+def other_bases(pipeline):
+    """The pipeline bundle encoded in two foreign bases, by basis name.
+
+    "uniform" has the same M=40 from the uniform operator; "m41" is the
+    cotangent operator with one mode more.
+    """
+    root, bundle, _, _ = pipeline
+    out = {}
+    for name, extra in (("uniform", ["--modes", "40", "--operator", "uniform"]),
+                        ("m41", ["--modes", "41"])):
+        basis = str(root / f"{name}.spbs")
+        out[name] = str(root / f"coeffs_{name}")
+        assert main(["decompose", "--bundle", bundle, "--out", basis] + extra) == 0
+        assert main(["encode", "--bundle", bundle, "--basis", basis,
+                     "--out", out[name]]) == 0
+    return out
+
+
+def _mixed_dir(pipeline, other_bases, tmp_path):
+    """Shapes 000-004 from the cotangent basis, 005-008 from the uniform one."""
+    _, _, _, coeffs = pipeline
+    out = tmp_path / "mixed"
+    out.mkdir()
+    for i in range(9):
+        source = coeffs if i < 5 else other_bases["uniform"]
+        with open(os.path.join(source, f"{i:03d}.csv")) as f:
+            (out / f"{i:03d}.csv").write_text(f.read())
+    return out
+
+
 class TestGenerate:
     def test_creates_bundle_layout(self, pipeline):
         _, bundle, _, _ = pipeline
@@ -151,6 +182,26 @@ class TestDescriptor:
         assert code == 0
         assert sd.DeformationDescriptor.load(out).selection_mode == "baseline_difference"
 
+    @pytest.mark.parametrize("threshold", [None, 0.5])
+    def test_baseline_difference_equals_library(self, pipeline, tmp_path, threshold):
+        _, _, _, coeffs = pipeline
+        shape = os.path.join(coeffs, "006.csv")
+        base_path = os.path.join(coeffs, "base.csv")
+        out = tmp_path / "d.json"
+        extra = [] if threshold is None else ["--threshold", str(threshold)]
+        assert main(["descriptor", "--coeffs", shape, "--baseline", base_path,
+                     "--augment", "--out", str(out)] + extra) == 0
+        c = sd.SpectralCoefficients.load_csv(shape)
+        base = sd.SpectralCoefficients.load_csv(base_path)
+        t = threshold
+        if t is None:
+            t = sd.statistical_threshold(sd.SpectralCoefficients(c.values - base.values))
+        desc = sd.complete_descriptor(
+            sd.select_by_baseline_difference(c, base, t), c, augment=True,
+            threshold=t, selection_mode="baseline_difference",
+        )
+        assert out.read_text() == desc.to_json() + "\n"
+
 
 class TestReconstruct:
     def test_outputs_and_error_ordering(self, pipeline, tmp_path):
@@ -172,6 +223,63 @@ class TestReconstruct:
             for line in open(os.path.join(out, "errors.csv")).read().splitlines()[1:]
         )
         assert float(rows["descriptor"]) <= float(rows["first_m_ordered"]) + 1e-12
+
+    def _run(self, pipeline, tmp_path, coeffs_dir=None):
+        """Reconstruct shape 006 with a descriptor built from coeffs_dir."""
+        _, bundle, basis_path, coeffs = pipeline
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs",
+                     os.path.join(coeffs_dir or coeffs, "006.csv"),
+                     "--augment", "--out", desc]) == 0
+        out = tmp_path / "recon"
+        code = main(["reconstruct", "--basis", basis_path,
+                     "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--descriptor", desc,
+                     "--mesh", os.path.join(bundle, "base.off"),
+                     "--out", str(out)])
+        return code, out, desc
+
+    @pytest.mark.parametrize("basis", ["uniform", "m41"])
+    def test_descriptor_of_another_basis_exit_2(
+        self, basis, pipeline, other_bases, tmp_path, capsys
+    ):
+        code, out, _ = self._run(pipeline, tmp_path, other_bases[basis])
+        assert code == 2
+        assert "different bases" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_three_reconstructions_per_call(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+        original = spectral.reconstruct_geometry
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (sd, spectral, sd.descriptor, sd.cli):
+            monkeypatch.setattr(module, "reconstruct_geometry", counting)
+        code, _, _ = self._run(pipeline, tmp_path)
+        assert code == 0
+        assert len(calls) == 3  # the reference, then each subset once
+
+    def test_errors_equal_reconstruction_error(self, pipeline, tmp_path):
+        _, _, basis_path, coeffs = pipeline
+        code, out, desc_path = self._run(pipeline, tmp_path)
+        assert code == 0
+        basis = sd.SpectralBasis.load(basis_path)
+        c = sd.SpectralCoefficients.load_csv(os.path.join(coeffs, "006.csv"))
+        desc = sd.DeformationDescriptor.load(desc_path)
+        reference = sd.reconstruct_geometry(basis, c, None)
+        expected = {
+            "descriptor": sd.reconstruction_error(basis, c, desc.indices, reference),
+            "first_m_ordered": sd.reconstruction_error(
+                basis, c, np.arange(desc.size_m), reference
+            ),
+        }
+        lines = (out / "errors.csv").read_text().splitlines()[1:]
+        assert dict(line.split(",") for line in lines) == {
+            name: repr(err) for name, err in expected.items()
+        }
 
 
 class TestFilter:
@@ -197,6 +305,24 @@ class TestFilter:
                      "--min-score", "1.1", "--out", out]) == 0
         assert len(open(out).read().splitlines()) == 1  # header only
 
+    @pytest.mark.parametrize("fingerprint", ["cotangent", "unknown"])
+    def test_mixed_bases_exit_2(
+        self, fingerprint, pipeline, other_bases, tmp_path, capsys
+    ):
+        _, _, _, coeffs = pipeline
+        desc = tmp_path / "d.json"
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--out", str(desc)]) == 0
+        if fingerprint == "unknown":
+            d = sd.DeformationDescriptor.load(desc)
+            d = sd.DeformationDescriptor(d.indices, d.triples, d.threshold)
+            d.save(desc)
+        code = main(["filter", "--descriptor", str(desc), "--coeffs-dir",
+                     str(_mixed_dir(pipeline, other_bases, tmp_path)),
+                     "--top-k", "3", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "different bases" in capsys.readouterr().err
+
 
 class TestCluster:
     def test_k1_rejected(self, pipeline, tmp_path):
@@ -221,6 +347,13 @@ class TestCluster:
             assert main(["cluster", "--coeffs-dir", coeffs, "-k", "3",
                          "--seed", "9", "--out", out]) == 0
         assert open(a).read() == open(b).read()
+
+    def test_mixed_bases_exit_2(self, pipeline, other_bases, tmp_path, capsys):
+        code = main(["cluster", "--coeffs-dir",
+                     str(_mixed_dir(pipeline, other_bases, tmp_path)),
+                     "-k", "3", "--out", str(tmp_path / "a.csv")])
+        assert code == 2
+        assert "different bases" in capsys.readouterr().err
 
 
 def _old_load_csv(path):

@@ -88,6 +88,23 @@ class TestRanking:
         assert sorted(ranking.ids) == list(range(10))
         assert (np.diff(ranking.scores) <= 1e-15).all()
 
+    def test_scores_equal_the_per_shape_loop(self):
+        rng = np.random.default_rng(10)
+        bundle = [coeffs_of(rng.standard_normal((40, 3))) for _ in range(30)]
+        bundle[7] = coeffs_of(np.zeros((40, 3)))
+        desc = descriptor_of([0, 3, 4, 17, 39], bundle[2])
+        a = desc.triples.ravel()
+        expected = []
+        for c in bundle:  # the per-shape cosine the stacked contraction replaced
+            b = c.values[desc.indices].ravel()
+            nb = np.linalg.norm(b)
+            expected.append(0.0 if nb < 1e-14 else a @ b / (np.linalg.norm(a) * nb))
+        with pytest.warns(UserWarning, match="degenerate"):
+            ranking = sd.rank_bundle(desc, bundle)
+        np.testing.assert_array_equal(
+            ranking.scores, np.array(expected)[list(ranking.ids)]
+        )
+
     def test_empty_bundle(self, simple):
         _, desc = simple
         with pytest.raises(ValueError, match="empty"):
