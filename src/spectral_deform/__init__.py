@@ -23,7 +23,6 @@ from .laplacian import (
     uniform_laplacian,
     graph_laplacian,
     operator_fingerprint,
-    write_matrix_market,
 )
 from .spectral import (
     EigensolverError,

@@ -232,8 +232,9 @@ def generate_bundle(
 
     Per-shape amplitude is drawn uniformly within +-30% of the mode default
     and the fold/bend location uniformly in [0.2, 0.8]. The manifest records
-    every resolved spec (including per-shape noise seeds) so the bundle can
-    be regenerated bit-exactly.
+    every resolved spec (including per-shape noise seeds), and the states
+    are built from it by ``bundle_from_manifest``, so regenerating a bundle
+    from its manifest is bit-exact by construction.
     """
     if sum(n_per_mode) < 3:
         raise ValueError("need at least 3 states in total")
@@ -241,38 +242,29 @@ def generate_bundle(
     if noise_sigma is None:
         noise_sigma = default_noise_sigma(base)
     rng = np.random.default_rng(seed)
-    centroid = _section_centroid(params)
 
-    specs, seeds = [], []
+    states = []
     for mode, count in zip(MODES, n_per_mode):
         default_amp = MODE_DEFAULT_AMPLITUDE[mode]
         for _ in range(count):
             amp = default_amp * rng.uniform(0.7, 1.3)
             loc = rng.uniform(0.2, 0.8)
-            specs.append(
-                DeformationSpec(
-                    mode=mode,
-                    amplitude=float(amp),
-                    location=float(loc),
-                    noise_sigma=float(noise_sigma),
-                )
+            spec = DeformationSpec(
+                mode=mode,
+                amplitude=float(amp),
+                location=float(loc),
+                noise_sigma=float(noise_sigma),
             )
-            seeds.append(int(rng.integers(2**63)))
+            noise_seed = int(rng.integers(2**63))
+            states.append({**asdict(spec), "seed": noise_seed, "label": mode})
 
-    states = [
-        apply_deformation(base, spec, seed=s, section_centroid=centroid)
-        for spec, s in zip(specs, seeds)
-    ]
     manifest = {
         "version": MANIFEST_VERSION,
         "seed": seed,
         "beam_params": asdict(params),
-        "states": [
-            {**asdict(spec), "seed": s, "label": spec.mode}
-            for spec, s in zip(specs, seeds)
-        ],
+        "states": states,
     }
-    return SimulationBundle(base=base, states=states, manifest=manifest)
+    return bundle_from_manifest(manifest)
 
 
 def bundle_from_manifest(manifest: dict) -> SimulationBundle:
@@ -311,14 +303,20 @@ def save_bundle(directory, bundle: SimulationBundle) -> None:
 def load_bundle(directory) -> SimulationBundle:
     """Read a bundle directory back.
 
-    Raises MeshError unless every state has the base's vertex count and the
-    base's triangles, in the same order.
+    Raises ValueError naming the manifest if it lacks a key read here, and
+    MeshError unless every state has the base's vertex count and the base's
+    triangles, in the same order.
     """
-    with open(os.path.join(directory, "manifest.json")) as f:
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as f:
         manifest = json.load(f)
+    try:
+        labels = [entry["label"] for entry in manifest["states"]]
+    except KeyError as e:
+        raise ValueError(f"bundle manifest {path} lacks the key {e}") from e
     base = load_mesh(os.path.join(directory, "base.off"))
     states = []
-    for i, entry in enumerate(manifest["states"]):
+    for i, label in enumerate(labels):
         mesh = load_mesh(os.path.join(directory, "states", f"{i:03d}.off"))
         if mesh.n_vertices != base.n_vertices:
             raise MeshError(
@@ -326,5 +324,5 @@ def load_bundle(directory) -> SimulationBundle:
             )
         if not np.array_equal(mesh.triangles, base.triangles):
             raise MeshError(f"state {i} has different triangles from the base")
-        states.append(DeformedState(mesh.vertices, label=entry["label"]))
+        states.append(DeformedState(mesh.vertices, label=label))
     return SimulationBundle(base=base, states=states, manifest=manifest)

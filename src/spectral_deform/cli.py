@@ -21,7 +21,6 @@ import numpy as np
 from ._files import open_new
 from .bundle import (
     BeamParams,
-    bundle_from_manifest,
     generate_bundle,
     load_bundle,
     save_bundle,
@@ -37,7 +36,7 @@ from .descriptor import (
     tune_threshold,
 )
 from .laplacian import cotangent_laplacian, operator_fingerprint, uniform_laplacian
-from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
+from .mesh import TriangleMesh, load_mesh, save_mesh
 from .retrieval import (
     SimilarityRanking,
     cluster_coefficients,
@@ -49,7 +48,6 @@ from .retrieval import (
 )
 from .spectral import (
     EigensolverError,
-    FingerprintMismatchError,
     SpectralBasis,
     SpectralCoefficients,
     _check_fingerprint,
@@ -318,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     except EigensolverError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (MeshError, FingerprintMismatchError, ValueError, OSError) as e:
+    # MeshError and FingerprintMismatchError are ValueErrors
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -115,8 +115,13 @@ class DeformationDescriptor:
 
     @classmethod
     def load(cls, path) -> "DeformationDescriptor":
+        """Read a descriptor JSON; ValueError naming the file if it lacks a key."""
         with open(path) as f:
-            return cls.from_json(f.read())
+            text = f.read()
+        try:
+            return cls.from_json(text)
+        except KeyError as e:
+            raise ValueError(f"descriptor JSON {path} lacks the key {e}") from e
 
 
 def statistical_threshold(coeffs: SpectralCoefficients) -> float:
@@ -227,18 +232,20 @@ def tune_threshold(
     M-truncated reference reconstruction (decode of all M coefficients), so
     a target of 0 is achievable for exactly-sparse coefficient vectors.
     Returns (t, descriptor, achieved_rms); if even t=0 misses the target the
-    best achieved descriptor is returned with a warning.
+    best achieved descriptor is returned with a warning. A threshold that
+    selects nothing is never accepted, ``augment`` or not, so coefficients
+    that are all zero raise EmptySelectionError.
     """
     if target_rms < 0:
         raise ValueError("target_rms must be >= 0")
     reference = reconstruct_geometry(basis, coeffs, None)
 
-    def evaluate(t: float) -> tuple[float, np.ndarray | None]:
+    def evaluate(t: float) -> tuple[float, np.ndarray]:
         try:
             idx = select_by_threshold(coeffs, t)
         except EmptySelectionError:
-            idx = None
-        if augment and idx is not None:
+            idx = np.empty(0, dtype=np.int64)
+        if augment and idx.size:
             idx = np.union1d(idx, [0, 1])
         err = reconstruction_error(basis, coeffs, idx, reference)
         return err, idx
@@ -248,24 +255,22 @@ def tune_threshold(
     err_lo, idx_lo = evaluate(lo)
     best_t, best_err, best_idx = lo, err_lo, idx_lo
     err_hi, idx_hi = evaluate(hi)
-    if err_hi <= target_rms and idx_hi is not None:
+    if err_hi <= target_rms and idx_hi.size:
         best_t, best_err, best_idx = hi, err_hi, idx_hi
     else:
         for _ in range(max_iters):
             mid = 0.5 * (lo + hi)
             err, idx = evaluate(mid)
-            if err <= target_rms and idx is not None:
+            if err <= target_rms and idx.size:
                 lo = mid
                 best_t, best_err, best_idx = mid, err, idx
             else:
                 hi = mid
-    if best_idx is None or best_err > target_rms:
+    if best_err > target_rms:
         warnings.warn(
             f"target RMS {target_rms:g} unreachable; best achieved {best_err:g}"
         )
-    if best_idx is None:
-        best_t = 0.0
-        _, best_idx = evaluate(0.0)
+    # an empty best_idx (t=0 selects nothing) raises EmptySelectionError here
     desc = complete_descriptor(
         best_idx,
         coeffs,

@@ -2,9 +2,9 @@
 
 The main operator is the plain symmetric cotangent Laplacian (no mass
 normalization), so that its eigenvectors are orthonormal in the standard
-inner product and plain-transpose projections are valid. The mass-normalized
-variant is available behind a flag, and a purely combinatorial graph
-Laplacian serves as a robust fallback for near-degenerate meshes.
+inner product and plain-transpose projections are valid. A purely
+combinatorial graph Laplacian serves as a robust fallback for near-degenerate
+meshes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import hashlib
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mmwrite
 
 from .mesh import MeshError, TriangleMesh
 
@@ -23,7 +22,6 @@ __all__ = [
     "graph_laplacian",
     "triangle_areas",
     "operator_fingerprint",
-    "write_matrix_market",
 ]
 
 # triangles with area below this fraction of the mean are rejected:
@@ -38,15 +36,12 @@ def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def cotangent_laplacian(
-    mesh: TriangleMesh, normalized: bool = False
-) -> sparse.csr_matrix:
+def cotangent_laplacian(mesh: TriangleMesh) -> sparse.csr_matrix:
     """Symmetric cotangent Laplacian L of a triangle mesh.
 
     L[i, j] = -1/2 (cot a_ij + cot b_ij) for interior edges (one cotangent
     for boundary edges), diagonal = negative row sum. Negative weights from
-    obtuse triangles are kept as-is. With ``normalized=True`` the operator is
-    M^{-1/2} L M^{-1/2} with a lumped barycentric mass matrix.
+    obtuse triangles are kept as-is.
 
     Raises
     ------
@@ -82,13 +77,6 @@ def cotangent_laplacian(
     w = np.concatenate(vals)
     L = sparse.coo_matrix((w, (i, j)), shape=(n, n)).tocsr()
     L.setdiag(-np.asarray(L.sum(axis=1)).ravel())
-    if normalized:
-        mass = np.zeros(n)
-        np.add.at(mass, t.ravel(), np.repeat(areas / 3.0, 3))
-        d = sparse.diags(1.0 / np.sqrt(mass))
-        L = (d @ L @ d).tocsr()
-        # symmetrize away rounding asymmetry from the triple product
-        L = ((L + L.T) * 0.5).tocsr()
     return L
 
 
@@ -117,8 +105,3 @@ def operator_fingerprint(L: sparse.spmatrix) -> str:
     h.update(coo.col[order].astype(np.int64).tobytes())
     h.update(coo.data[order].astype(np.float64).tobytes())
     return h.hexdigest()
-
-
-def write_matrix_market(path, L: sparse.spmatrix) -> None:
-    """Export L as 'matrix coordinate real symmetric' Matrix Market."""
-    mmwrite(str(path), sparse.coo_matrix(L), symmetry="symmetric")

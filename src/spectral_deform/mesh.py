@@ -235,8 +235,14 @@ def _fmt_from_path(path) -> str:
 
 
 def load_mesh(path) -> TriangleMesh:
+    """Read an OFF or OBJ file; a parse or validation error is a MeshError
+    naming the file."""
     with open(path, "rb") as f:
-        return parse_mesh(f.read(), _fmt_from_path(path))
+        content = f.read()
+    try:
+        return parse_mesh(content, _fmt_from_path(path))
+    except ValueError as e:
+        raise MeshError(f"mesh file {path}: {e}") from e
 
 
 def save_mesh(path, mesh: TriangleMesh) -> None:

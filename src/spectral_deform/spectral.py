@@ -397,10 +397,10 @@ def _check_fingerprint(a: str, b: str, what: str) -> None:
 
 
 def encode(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
-    """Spectral coefficients of one mesh function: alpha_i = <f, psi_i>."""
+    """Spectral coefficients alpha_i = <f, psi_i> of f, (N,) or (N, k)."""
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (basis.n,):
-        raise ValueError(f"mesh function has shape {f.shape}, expected ({basis.n},)")
+    if f.ndim not in (1, 2) or f.shape[0] != basis.n:
+        raise ValueError(f"mesh function has shape {f.shape}, expected {basis.n} rows")
     return basis.eigenvectors.T @ f
 
 
@@ -424,7 +424,7 @@ def encode_geometry(basis: SpectralBasis, coordinates: np.ndarray) -> SpectralCo
     p = np.asarray(coordinates, dtype=np.float64)
     if p.shape != (basis.n, 3):
         raise ValueError(f"coordinates have shape {p.shape}, expected ({basis.n}, 3)")
-    return SpectralCoefficients(basis.eigenvectors.T @ p, basis.fingerprint)
+    return SpectralCoefficients(encode(basis, p), basis.fingerprint)
 
 
 def reconstruct_geometry(
@@ -442,11 +442,10 @@ def reconstruct_geometry(
     if coeffs.m != basis.m:
         raise ValueError(f"coefficients M={coeffs.m} but basis M={basis.m}")
     if subset is None:
-        return basis.eigenvectors @ coeffs.values
+        return decode(basis, coeffs.values)
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
         warnings.warn("empty index subset: reconstructing all-zero geometry")
         return np.zeros((basis.n, 3))
-    if subset.min() < 0 or subset.max() >= basis.m:
-        raise ValueError(f"subset index out of basis range [0, {basis.m})")
-    return basis.eigenvectors[:, subset] @ coeffs.values[subset]
+    # clipped, so that decode rejects an out-of-range index with ValueError
+    return decode(basis, coeffs.values.take(subset, axis=0, mode="clip"), subset)

@@ -1,5 +1,7 @@
 import filecmp
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -172,6 +174,18 @@ class TestDescriptor:
                      "--tune", "inf", "--basis", basis_path, "--out", out])
         assert code == 0
         assert sd.DeformationDescriptor.load(out).size_m >= 1
+
+    def test_tune_on_zero_coefficients_exit_4(self, pipeline, tmp_path, capsys):
+        _, _, basis_path, _ = pipeline
+        basis = sd.SpectralBasis.load(basis_path)
+        zeros = tmp_path / "zero.csv"
+        sd.SpectralCoefficients(np.zeros((basis.m, 3)), basis.fingerprint).save_csv(zeros)
+        out = tmp_path / "d.json"
+        code = main(["descriptor", "--coeffs", str(zeros), "--tune", "1.0",
+                     "--basis", basis_path, "--out", str(out)])
+        assert code == 4
+        assert "empty result" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_baseline_difference_mode(self, pipeline, tmp_path):
         _, _, _, coeffs = pipeline
@@ -433,16 +447,18 @@ class TestCoefficientCsv:
         assert "003.csv" in capsys.readouterr().err
 
 
+def _copy_bundle(pipeline, tmp_path):
+    """A copy of the pipeline's bundle directory, for a test to corrupt."""
+    _, bundle, _, _ = pipeline
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    return copy
+
+
 class TestStateConnectivity:
     def test_reordered_face_exit_2(self, pipeline, tmp_path, capsys):
-        _, bundle, basis, _ = pipeline
-        copy = tmp_path / "bundle"
-        (copy / "states").mkdir(parents=True)
-        for name in ["base.off", "manifest.json"] + [
-            os.path.join("states", s) for s in os.listdir(os.path.join(bundle, "states"))
-        ]:
-            with open(os.path.join(bundle, name)) as f:
-                (copy / name).write_text(f.read())
+        _, _, basis, _ = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
         state = copy / "states" / "004.off"
         lines = state.read_text().splitlines()
         n_v = int(lines[1].split()[0])
@@ -453,6 +469,50 @@ class TestStateConnectivity:
                      "--out", str(tmp_path / "coeffs")])
         assert code == 2
         assert "state 4" in capsys.readouterr().err
+
+
+class TestInputFiles:
+    """A malformed input file exits 2 with a message naming the file."""
+
+    def test_malformed_state_exit_2(self, pipeline, tmp_path, capsys):
+        _, _, basis, _ = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
+        state = copy / "states" / "004.off"
+        lines = state.read_text().splitlines()
+        lines[10] = "1.0 2.0"  # line 11 is vertex 8; it loses a coordinate
+        state.write_text("\n".join(lines) + "\n")
+        code = main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "004.off" in err and "vertex line 8" in err
+
+    def test_manifest_without_states_exit_2(self, pipeline, tmp_path, capsys):
+        _, _, basis, _ = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
+        manifest = copy / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["states"]
+        manifest.write_text(json.dumps(doc))
+        code = main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "'states'" in err
+
+    def test_descriptor_without_entries_exit_2(self, pipeline, tmp_path, capsys):
+        _, _, _, coeffs = pipeline
+        desc = tmp_path / "d.json"
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--out", str(desc)]) == 0
+        doc = json.loads(desc.read_text())
+        del doc["entries"]
+        desc.write_text(json.dumps(doc))
+        code = main(["filter", "--descriptor", str(desc), "--coeffs-dir", coeffs,
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(desc) in err and "'entries'" in err
 
 
 def _stage_args(stage, pipeline, tmp_path, variant):

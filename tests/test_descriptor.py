@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,16 @@ class TestTuneThreshold:
             _, desc, _ = sd.tune_threshold(coeffs, basis, frac * diag)
             sizes.append(desc.size_m)
         assert sizes == sorted(sizes)
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_all_zero_coefficients_raise_empty_selection(self, beam_setup, augment):
+        # no threshold selects anything, and the target is not what failed
+        _, basis, _, _ = beam_setup
+        zeros = sd.SpectralCoefficients(np.zeros((basis.m, 3)), basis.fingerprint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySelectionError):
+                sd.tune_threshold(zeros, basis, 1.0, augment=augment)
 
     def test_tiny_target_reachable_at_full_support(self, beam_setup):
         # error is measured against the M-truncated reference, so near-zero

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
-import scipy.sparse as sp
 
 import spectral_deform as sd
 from spectral_deform.mesh import MeshError
@@ -105,12 +103,6 @@ class TestCotangent:
         vals = np.linalg.eigvalsh(L.toarray())
         assert vals.min() >= -1e-9 * vals.max()
 
-    def test_normalized_variant_symmetric_psd(self, small_beam):
-        L = sd.cotangent_laplacian(small_beam, normalized=True)
-        assert abs((L - L.T).toarray()).max() <= 1e-12
-        vals = np.linalg.eigvalsh(L.toarray())
-        assert vals.min() >= -1e-9 * vals.max()
-
 
 class TestUniform:
     def test_single_triangle_is_k3(self):
@@ -133,16 +125,6 @@ class TestUniform:
         t = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
         L = sd.uniform_laplacian(sd.TriangleMesh(v, t)).toarray()
         assert L[0, 0] == 4
-
-
-def test_matrix_market_export(tmp_path, small_beam):
-    L = sd.cotangent_laplacian(small_beam)
-    path = tmp_path / "L.mtx"
-    sd.write_matrix_market(path, L)
-    header = path.read_text().splitlines()[0]
-    assert header == "%%MatrixMarket matrix coordinate real symmetric"
-    back = scipy.io.mmread(path)
-    assert abs((sp.csr_matrix(back) - L)).max() <= 1e-15
 
 
 def test_operator_fingerprint_stable_and_sensitive(small_beam):

@@ -149,3 +149,15 @@ def test_save_load_by_extension(tmp_path, small_beam):
 def test_vertices_immutable(small_beam):
     with pytest.raises(ValueError):
         small_beam.vertices[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("vertex, message", [
+    ("1 0", "vertex line 1: expected 3 coordinates"),
+    ("1 abc 0", "could not convert"),
+])
+def test_load_errors_name_the_file(tmp_path, vertex, message):
+    path = tmp_path / "bad.off"
+    path.write_text(MIN_OFF.replace("1 0 0", vertex))
+    with pytest.raises(MeshError, match=message) as exc:
+        sd.load_mesh(path)
+    assert str(exc.value).startswith(f"mesh file {path}: ")

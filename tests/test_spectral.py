@@ -243,14 +243,16 @@ class TestEncodeDecode:
 
     def test_length_mismatch(self, grid_basis):
         _, _, basis = grid_basis
-        with pytest.raises(ValueError):
-            sd.encode(basis, np.ones(basis.n + 1))
+        for shape in [(basis.n + 1,), (basis.n + 1, 3), (basis.n, 3, 1)]:
+            with pytest.raises(ValueError):
+                sd.encode(basis, np.ones(shape))
 
 
 class TestGeometry:
     def test_consistency_with_per_axis_encode(self, grid_basis):
         mesh, _, basis = grid_basis
         coeffs = sd.encode_geometry(basis, mesh.vertices)
+        np.testing.assert_array_equal(coeffs.values, sd.encode(basis, mesh.vertices))
         for axis in range(3):
             np.testing.assert_allclose(
                 coeffs.values[:, axis],
@@ -288,6 +290,13 @@ class TestGeometry:
         with pytest.warns(UserWarning, match="empty"):
             got = sd.reconstruct_geometry(basis, coeffs, np.array([], dtype=int))
         assert abs(got).max() == 0.0
+
+    def test_subset_index_out_of_range(self, grid_basis):
+        mesh, _, basis = grid_basis
+        coeffs = sd.encode_geometry(basis, mesh.vertices)
+        for index in (-1, basis.m):
+            with pytest.raises(ValueError, match="out of basis range"):
+                sd.reconstruct_geometry(basis, coeffs, np.array([0, index]))
 
     def test_fingerprint_mismatch(self, grid_basis, small_beam):
         mesh, _, basis = grid_basis
