@@ -303,17 +303,25 @@ def save_bundle(directory, bundle: SimulationBundle) -> None:
 def load_bundle(directory) -> SimulationBundle:
     """Read a bundle directory back.
 
-    Raises ValueError naming the manifest if it lacks a key read here, and
-    MeshError unless every state has the base's vertex count and the base's
-    triangles, in the same order.
+    Raises ValueError naming the manifest if it is not JSON, lacks a key
+    read here or has such a field of the wrong type, and MeshError unless
+    every state has the base's vertex count and the base's triangles, in the
+    same order.
     """
     path = os.path.join(directory, "manifest.json")
     with open(path) as f:
-        manifest = json.load(f)
+        text = f.read()
     try:
+        manifest = json.loads(text)
         labels = [entry["label"] for entry in manifest["states"]]
+    except json.JSONDecodeError as e:
+        raise ValueError(f"bundle manifest {path} is not JSON: {e}") from e
     except KeyError as e:
         raise ValueError(f"bundle manifest {path} lacks the key {e}") from e
+    except TypeError as e:
+        raise ValueError(
+            f"bundle manifest {path} has a field of the wrong type: {e}"
+        ) from e
     base = load_mesh(os.path.join(directory, "base.off"))
     states = []
     for i, label in enumerate(labels):

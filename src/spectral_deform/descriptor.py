@@ -115,13 +115,20 @@ class DeformationDescriptor:
 
     @classmethod
     def load(cls, path) -> "DeformationDescriptor":
-        """Read a descriptor JSON; ValueError naming the file if it lacks a key."""
+        """Read a descriptor JSON; ValueError naming the file if it is not
+        JSON, lacks a key or has a field of the wrong type."""
         with open(path) as f:
             text = f.read()
         try:
             return cls.from_json(text)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"descriptor JSON {path} is not JSON: {e}") from e
         except KeyError as e:
             raise ValueError(f"descriptor JSON {path} lacks the key {e}") from e
+        except TypeError as e:
+            raise ValueError(
+                f"descriptor JSON {path} has a field of the wrong type: {e}"
+            ) from e
 
 
 def statistical_threshold(coeffs: SpectralCoefficients) -> float:

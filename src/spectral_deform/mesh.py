@@ -1,4 +1,4 @@
-"""Triangle mesh data model and OFF/OBJ file I/O.
+"""Triangle mesh data model and OFF file I/O.
 
 Vertex order is the canonical identity of a mesh: parsing preserves file
 order exactly and no deduplication or reordering is ever performed, because
@@ -25,11 +25,6 @@ __all__ = [
     "save_mesh",
     "displacement_field",
 ]
-
-# shortest round-trip formatting: serialized coordinates parse back exactly
-def _fmt_coord(c: float) -> str:
-    return repr(float(c))
-
 
 class MeshError(ValueError):
     """Invalid mesh data or unparseable mesh file."""
@@ -146,97 +141,94 @@ def _parse_off(lines: list[str]) -> TriangleMesh:
         n_v, n_f = int(counts[0]), int(counts[1])
     except ValueError as e:
         raise MeshError(f"malformed OFF count line: {body[0]!r}") from e
+    if n_v < 0 or n_f < 0:
+        raise MeshError(f"malformed OFF count line: {body[0]!r}")
     if len(body) - 1 != n_v + n_f:
         raise MeshError(
             f"OFF declares {n_v} vertices + {n_f} faces but file has "
             f"{len(body) - 1} data lines"
         )
-    verts = np.empty((n_v, 3))
-    for k, line in enumerate(body[1 : 1 + n_v]):
-        parts = line.split()
-        if len(parts) < 3:
-            raise MeshError(f"vertex line {k}: expected 3 coordinates, got {line!r}")
-        verts[k] = [float(p) for p in parts[:3]]
-    tris = np.empty((n_f, 3), dtype=np.int64)
-    for k, line in enumerate(body[1 + n_v :]):
-        parts = line.split()
-        if int(parts[0]) != 3:
-            raise MeshError(f"face line {k}: only triangles supported, got {line!r}")
-        if len(parts) < 4:
-            raise MeshError(f"face line {k}: malformed: {line!r}")
-        tris[k] = [int(p) for p in parts[1:4]]
-    return TriangleMesh(verts, tris)
-
-
-def _parse_obj(lines: list[str]) -> TriangleMesh:
-    verts, tris = [], []
-    for line in lines:
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MeshError(f"malformed vertex line: {line!r}")
-            verts.append([float(p) for p in parts[1:4]])
-        elif parts[0] == "f":
-            if len(parts) != 4:
+    # each section is parsed in one call; only a failed one is scanned line by
+    # line, to name the first line with too few fields or a non-triangle
+    vlines, flines = body[1 : 1 + n_v], body[1 + n_v :]
+    try:
+        verts = _table(vlines, np.float64, 3)
+    except ValueError:
+        for k, line in enumerate(vlines):
+            if len(line.split()) < 3:
                 raise MeshError(
-                    f"only triangular faces supported (no fan-triangulation): {line!r}"
-                )
-            idx = []
-            for p in parts[1:]:
-                i = int(p.split("/")[0])
-                if i < 1:
-                    raise MeshError(f"face index must be positive 1-based: {line!r}")
-                idx.append(i - 1)
-            tris.append(idx)
-        # normals, texcoords, groups etc. are ignored
-    if not verts:
-        raise MeshError("OBJ contains no vertices")
-    return TriangleMesh(np.array(verts), np.array(tris, dtype=np.int64).reshape(-1, 3))
+                    f"vertex line {k}: expected 3 coordinates, got {line!r}"
+                ) from None
+        raise
+    try:
+        faces = _table(flines, np.int64, 4)
+    except ValueError:
+        for k, line in enumerate(flines):
+            parts = line.split()
+            try:
+                n = int(parts[0])
+            except ValueError:  # this line fails to convert first
+                break
+            if n != 3:
+                raise _not_triangle(k, line) from None
+            if len(parts) < 4:
+                raise MeshError(f"face line {k}: malformed: {line!r}") from None
+        raise
+    not_tri = np.flatnonzero(faces[:, 0] != 3)
+    if not_tri.size:
+        raise _not_triangle(int(not_tri[0]), flines[not_tri[0]])
+    return TriangleMesh(verts, faces[:, 1:])
+
+
+def _table(lines: list[str], dtype, ncols: int) -> np.ndarray:
+    """The first ``ncols`` columns of whitespace-separated lines as an
+    (n, ncols) array; later columns are ignored. No lines give an empty
+    array, not ``loadtxt``'s "no data" warning."""
+    if not lines:
+        return np.empty((0, ncols), dtype)
+    return np.loadtxt(lines, dtype=dtype, usecols=range(ncols), ndmin=2)
+
+
+def _not_triangle(k: int, line: str) -> MeshError:
+    return MeshError(f"face line {k}: only triangles supported, got {line!r}")
 
 
 def parse_mesh(content: bytes | str, fmt: str) -> TriangleMesh:
-    """Parse OFF or OBJ file content into a validated TriangleMesh.
+    """Parse OFF file content into a validated TriangleMesh.
 
-    Vertex order is preserved exactly as in the file. OBJ faces are shifted
-    from 1-based to 0-based indices.
+    Vertex order is preserved exactly as in the file.
     """
-    fmt = fmt.lower()
-    lines = _lines(content)
-    if fmt == "off":
-        return _parse_off(lines)
-    if fmt == "obj":
-        return _parse_obj(lines)
-    raise MeshError(f"unknown mesh format {fmt!r}")
+    if fmt.lower() != "off":
+        raise MeshError(f"unknown mesh format {fmt!r}")
+    return _parse_off(_lines(content))
 
 
 def write_mesh(mesh: TriangleMesh, fmt: str) -> str:
-    """Serialize a mesh to OFF or OBJ text (exact round-trip formatting)."""
+    """Serialize a mesh to OFF text.
+
+    Coordinates are written in shortest round-trip form (``repr`` of a
+    Python float), so they parse back to the same bits.
+    """
     if not np.isfinite(mesh.vertices).all():
         raise MeshError("refusing to serialize non-finite vertex coordinates")
-    fmt = fmt.lower()
-    coords = [" ".join(_fmt_coord(c) for c in row) for row in mesh.vertices]
-    if fmt == "off":
-        out = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
-        out += coords
-        out += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
-    elif fmt == "obj":
-        out = [f"v {c}" for c in coords]
-        out += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
-    else:
+    if fmt.lower() != "off":
         raise MeshError(f"unknown mesh format {fmt!r}")
+    out = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
+    out += [f"{a!r} {b!r} {c!r}" for a, b, c in mesh.vertices.tolist()]
+    out += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
     return "\n".join(out) + "\n"
 
 
 def _fmt_from_path(path) -> str:
     suffix = str(path).rsplit(".", 1)[-1].lower()
-    if suffix not in ("off", "obj"):
+    if suffix != "off":
         raise MeshError(f"cannot infer mesh format from extension {suffix!r}")
     return suffix
 
 
 def load_mesh(path) -> TriangleMesh:
-    """Read an OFF or OBJ file; a parse or validation error is a MeshError
-    naming the file."""
+    """Read an OFF file; a parse or validation error is a MeshError naming
+    the file."""
     with open(path, "rb") as f:
         content = f.read()
     try:
@@ -246,8 +238,9 @@ def load_mesh(path) -> TriangleMesh:
 
 
 def save_mesh(path, mesh: TriangleMesh) -> None:
+    text = write_mesh(mesh, _fmt_from_path(path))
     with open_new(path) as f:
-        f.write(write_mesh(mesh, _fmt_from_path(path)))
+        f.write(text)
 
 
 def displacement_field(

@@ -514,6 +514,39 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert str(desc) in err and "'entries'" in err
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: "not json", "is not JSON"),
+        (lambda doc: json.dumps({**doc, "states": dict(enumerate(doc["states"]))}),
+         "has a field of the wrong type"),
+    ], ids=["not JSON", "states is an object"])
+    def test_malformed_manifest_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
+        _, _, basis, _ = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
+        manifest = copy / "manifest.json"
+        manifest.write_text(corrupt(json.loads(manifest.read_text())))
+        code = main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and message in err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: "not json", "is not JSON"),
+        (lambda doc: json.dumps({**doc, "entries": [1, 2]}),
+         "has a field of the wrong type"),
+    ], ids=["not JSON", "entries are numbers"])
+    def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
+        _, _, _, coeffs = pipeline
+        desc = tmp_path / "d.json"
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--out", str(desc)]) == 0
+        desc.write_text(corrupt(json.loads(desc.read_text())))
+        code = main(["filter", "--descriptor", str(desc), "--coeffs-dir", coeffs,
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(desc) in err and message in err
+
 
 def _stage_args(stage, pipeline, tmp_path, variant):
     """CLI arguments for one stage; the two variants write different bytes."""
