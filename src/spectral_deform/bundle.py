@@ -314,14 +314,8 @@ def load_bundle(directory) -> SimulationBundle:
     try:
         manifest = json.loads(text)
         labels = [entry["label"] for entry in manifest["states"]]
-    except json.JSONDecodeError as e:
-        raise ValueError(f"bundle manifest {path} is not JSON: {e}") from e
-    except KeyError as e:
-        raise ValueError(f"bundle manifest {path} lacks the key {e}") from e
-    except TypeError as e:
-        raise ValueError(
-            f"bundle manifest {path} has a field of the wrong type: {e}"
-        ) from e
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        raise ValueError(f"bundle manifest {path}: {type(e).__name__}: {e}") from e
     base = load_mesh(os.path.join(directory, "base.off"))
     states = []
     for i, label in enumerate(labels):

@@ -121,14 +121,8 @@ class DeformationDescriptor:
             text = f.read()
         try:
             return cls.from_json(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"descriptor JSON {path} is not JSON: {e}") from e
-        except KeyError as e:
-            raise ValueError(f"descriptor JSON {path} lacks the key {e}") from e
-        except TypeError as e:
-            raise ValueError(
-                f"descriptor JSON {path} has a field of the wrong type: {e}"
-            ) from e
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            raise ValueError(f"descriptor JSON {path}: {type(e).__name__}: {e}") from e
 
 
 def statistical_threshold(coeffs: SpectralCoefficients) -> float:

@@ -7,6 +7,7 @@ spectral coefficients compare shapes through shared vertex indexing.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,10 +184,17 @@ def _parse_off(lines: list[str]) -> TriangleMesh:
 def _table(lines: list[str], dtype, ncols: int) -> np.ndarray:
     """The first ``ncols`` columns of whitespace-separated lines as an
     (n, ncols) array; later columns are ignored. No lines give an empty
-    array, not ``loadtxt``'s "no data" warning."""
+    array, not ``loadtxt``'s "no data" warning.
+
+    A token that is not an integer in an integer table (``1.9``, ``3.0``) is
+    a "could not convert" ValueError: ``loadtxt`` would otherwise truncate it
+    through float and only emit a DeprecationWarning.
+    """
     if not lines:
         return np.empty((0, ncols), dtype)
-    return np.loadtxt(lines, dtype=dtype, usecols=range(ncols), ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, usecols=range(ncols), ndmin=2)
 
 
 def _not_triangle(k: int, line: str) -> MeshError:

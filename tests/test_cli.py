@@ -487,6 +487,21 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert "004.off" in err and "vertex line 8" in err
 
+    def test_non_integer_face_index_exit_2(self, pipeline, tmp_path, capsys):
+        _, _, basis, _ = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
+        state = copy / "states" / "004.off"
+        lines = state.read_text().splitlines()
+        parts = lines[-1].split()
+        parts[2] += ".9"  # a face index that is not an integer
+        lines[-1] = " ".join(parts)
+        state.write_text("\n".join(lines) + "\n")
+        code = main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "004.off" in err and "could not convert" in err
+
     def test_manifest_without_states_exit_2(self, pipeline, tmp_path, capsys):
         _, _, basis, _ = pipeline
         copy = _copy_bundle(pipeline, tmp_path)
@@ -515,9 +530,9 @@ class TestInputFiles:
         assert str(desc) in err and "'entries'" in err
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda doc: "not json", "is not JSON"),
+        (lambda doc: "not json", "JSONDecodeError"),
         (lambda doc: json.dumps({**doc, "states": dict(enumerate(doc["states"]))}),
-         "has a field of the wrong type"),
+         "TypeError"),
     ], ids=["not JSON", "states is an object"])
     def test_malformed_manifest_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, basis, _ = pipeline
@@ -531,9 +546,9 @@ class TestInputFiles:
         assert str(manifest) in err and message in err
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda doc: "not json", "is not JSON"),
+        (lambda doc: "not json", "JSONDecodeError"),
         (lambda doc: json.dumps({**doc, "entries": [1, 2]}),
-         "has a field of the wrong type"),
+         "TypeError"),
     ], ids=["not JSON", "entries are numbers"])
     def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, _, coeffs = pipeline

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -197,6 +199,17 @@ OFF_CASES = {
     "non-numeric coordinate": (
         _off(["0 0 0", "1 abc 0", "0 1 0"], ["3 0 1 2"]), ValueError, "could not convert"),
 }
+
+
+@pytest.mark.parametrize("face", ["3 0 1.9 2", "3.0 0 1 2", "3 0 1e0 2"])
+def test_non_integer_face_token_rejected(face):
+    # no warnings-as-errors mark: the parser itself must refuse the token,
+    # not truncate it through float with only a DeprecationWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="could not convert"):
+            sd.parse_mesh(_off(VERTS, [face]), "off")
+    assert caught == []
 
 
 @pytest.mark.filterwarnings("error")
