@@ -34,6 +34,8 @@ from .spectral import (
     decode,
     encode_geometry,
     reconstruct_geometry,
+    save_coeff_dir,
+    load_coeff_dir,
 )
 from .descriptor import (
     EmptySelectionError,

@@ -2,9 +2,15 @@
 reconstruct | filter | cluster.
 
 Stages communicate exclusively through files (bundle directory, SPBS basis,
-coefficient CSVs, descriptor JSON, ranking/assignment CSVs), so each stage
-is independently runnable and outputs are bitwise-stable given the same
-inputs and seeds.
+coefficient directory, descriptor JSON, ranking/assignment CSVs), so each
+stage is independently runnable and outputs are bitwise-stable given the
+same inputs and seeds.
+
+``encode`` writes a coefficient directory: one CSV per shape plus
+``base.csv``, then a binary stack of the shapes with a digest of their CSVs.
+``filter`` and ``cluster`` read the stack while the digest still matches
+the CSVs on disk and parse the CSVs otherwise, with the same results either
+way; the CSVs are authoritative.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 empty result.
 """
@@ -12,7 +18,6 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 empty result.
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 
@@ -53,29 +58,15 @@ from .spectral import (
     _check_fingerprint,
     eigendecompose,
     encode_geometry,
+    load_coeff_dir,
     reconstruct_geometry,
+    save_coeff_dir,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_EMPTY = 4
-
-
-def _load_coeff_dir(directory: str) -> tuple[list[str], list[SpectralCoefficients]]:
-    paths = sorted(glob.glob(os.path.join(directory, "*.csv")))
-    paths = [p for p in paths if not os.path.basename(p).startswith("base")]
-    if not paths:
-        raise FileNotFoundError(f"no coefficient CSVs in {directory}")
-    ids = [os.path.splitext(os.path.basename(p))[0] for p in paths]
-    coeffs = [SpectralCoefficients.load_csv(p) for p in paths]
-    # a file cut after whole rows parses; only its row count shows the cut
-    for p, c in zip(paths, coeffs):
-        if c.m != coeffs[0].m:
-            raise ValueError(
-                f"{p} has {c.m} coefficient rows, {paths[0]} has {coeffs[0].m}"
-            )
-    return ids, coeffs
 
 
 def cmd_generate(args) -> int:
@@ -121,12 +112,15 @@ def cmd_encode(args) -> int:
     encode_geometry(basis, bundle.base.vertices).save_csv(
         os.path.join(args.out, "base.csv")
     )
-    for i, state in enumerate(bundle.states):
-        encode_geometry(basis, state.coordinates).save_csv(
-            os.path.join(args.out, f"{i:03d}.csv")
-        )
+    s = len(bundle.states)
+    save_coeff_dir(
+        args.out,
+        [f"{i:03d}" for i in range(s)],
+        [encode_geometry(basis, state.coordinates) for state in bundle.states],
+    )
     if args.verbose:
-        print(f"wrote {len(bundle.states) + 1} coefficient files -> {args.out}")
+        print(f"wrote {s + 1} coefficient CSVs and the stack of the {s} "
+              f"shapes -> {args.out}")
     return EXIT_OK
 
 
@@ -192,7 +186,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_filter(args) -> int:
     desc = DeformationDescriptor.load(args.descriptor)
-    ids, coeffs = _load_coeff_dir(args.coeffs_dir)
+    ids, coeffs = load_coeff_dir(args.coeffs_dir)
     ranking = rank_bundle(desc, coeffs, ids)
     n = len(ranking.ids)
     if args.top_k is not None or args.min_score is not None:
@@ -207,7 +201,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ids, coeffs = _load_coeff_dir(args.coeffs_dir)
+    ids, coeffs = load_coeff_dir(args.coeffs_dir)
     assignment = cluster_coefficients(
         coeffs, args.k, feature=args.feature, m=args.first_m, seed=args.seed
     )

@@ -116,12 +116,13 @@ class DeformationDescriptor:
     @classmethod
     def load(cls, path) -> "DeformationDescriptor":
         """Read a descriptor JSON; ValueError naming the file if it is not
-        JSON, lacks a key or has a field of the wrong type."""
+        JSON, lacks a key or has a field of the wrong type or value."""
         with open(path) as f:
             text = f.read()
         try:
             return cls.from_json(text)
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        # JSONDecodeError is a ValueError
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"descriptor JSON {path}: {type(e).__name__}: {e}") from e
 
 

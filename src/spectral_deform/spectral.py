@@ -7,12 +7,20 @@ basis with plain transposes and reconstructed by partial sums.
 
 All eigenvector indices are 0-based: index 0 is the constant null vector of
 a connected mesh.
+
+A coefficient directory holds one CSV per shape, ``<id>.csv``, and the
+stack file ``coefficients.spcs``: the same coefficients as one binary
+(S, M, 3) array, with a digest of the CSVs it was written over. The CSVs are
+authoritative; the stack is read only while its digest still matches them.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import io
+import os
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -34,6 +42,8 @@ __all__ = [
     "decode",
     "encode_geometry",
     "reconstruct_geometry",
+    "save_coeff_dir",
+    "load_coeff_dir",
 ]
 
 # "auto" takes dense LAPACK only up to this N: the dense operator alone is
@@ -60,6 +70,14 @@ _SPBS_VERSION = 1
 _SPBS_HEADER = "<4sIQQ32s"
 
 _CSV_HEADER = "index,alpha_x,alpha_y,alpha_z\n"
+
+# a coefficient directory's stack file: the header fields (magic, version,
+# S, M, basis fingerprint), then the SHA-256 digest of those fields, of each
+# shape CSV's name and bytes and of the (S, M, 3) f64 LE body that follows
+_STACK_NAME = "coefficients.spcs"
+_STACK_MAGIC = b"SPCS"
+_STACK_VERSION = 1
+_STACK_HEADER = "<4sIQQ32s"
 
 
 class EigensolverError(RuntimeError):
@@ -200,6 +218,7 @@ class SpectralCoefficients:
         with open_new(path) as f:
             if self.basis_fingerprint:
                 f.write(f"# basis_fingerprint: {self.basis_fingerprint}\n")
+            f.write(f"# m: {self.m}\n")
             f.write(_CSV_HEADER)
             for i, (x, y, z) in enumerate(self.values):
                 f.write(f"{i},{float(x)!r},{float(y)!r},{float(z)!r}\n")
@@ -210,7 +229,9 @@ class SpectralCoefficients:
 
         Raises ValueError naming the file unless the header line is present
         and every data row holds 4 numeric fields: an index counting 0..M-1
-        in order, then a finite (alpha_x, alpha_y, alpha_z).
+        in order, then a finite (alpha_x, alpha_y, alpha_z). A file whose
+        comment states M must hold M rows; one written before M was stated
+        is read without that check.
         """
         with open(path) as f:
             head, header, body = f.read().partition(_CSV_HEADER)
@@ -218,11 +239,12 @@ class SpectralCoefficients:
             raise ValueError(
                 f"coefficient CSV {path} lacks the header {_CSV_HEADER.strip()!r}"
             )
-        fp = ""
+        fields = {}  # "# key: value" comment lines
         for line in head.splitlines():
-            line = line.strip()
-            if line.startswith("#") and "basis_fingerprint:" in line:
-                fp = line.split("basis_fingerprint:", 1)[1].strip()
+            if line.lstrip().startswith("#"):
+                key, _, value = line.lstrip()[1:].partition(":")
+                fields[key.strip()] = value.strip()
+        fp = fields.get("basis_fingerprint", "")
         if not body.strip():
             raise ValueError(f"coefficient CSV {path} has no data rows")
         try:
@@ -239,10 +261,110 @@ class SpectralCoefficients:
                 f"coefficient CSV {path}: data row {wrong[0]} has index "
                 f"{rows[wrong[0], 0]:g}, expected {wrong[0]}"
             )
+        if "m" in fields and fields["m"] != str(len(rows)):
+            raise ValueError(
+                f"coefficient CSV {path} has {len(rows)} data rows, "
+                f"its header states M={fields['m']}"
+            )
         try:
             return cls(rows[:, 1:], fp)
         except ValueError as e:
             raise ValueError(f"coefficient CSV {path}: {e}") from e
+
+
+def _stack_digest(fields: bytes, paths: list[str], body) -> bytes:
+    """SHA-256 of the stack's header fields, of each CSV's name and bytes
+    as they are on disk, and of the stack body."""
+    h = hashlib.sha256(fields)
+    for p in paths:
+        with open(p, "rb") as f:
+            data = f.read()
+        name = os.path.basename(p).encode()
+        h.update(struct.pack("<QQ", len(name), len(data)))
+        h.update(name)
+        h.update(data)
+    h.update(body)
+    return h.digest()
+
+
+def save_coeff_dir(directory, ids: list[str], coeffs: list[SpectralCoefficients]) -> None:
+    """Write each shape's coefficients to ``<id>.csv``, then the stack file.
+
+    The shapes must share one M >= 1 and one basis fingerprint, empty or a
+    SHA-256 hex digest. The stack holds them in the order ``load_coeff_dir``
+    finds their CSVs, sorted by name.
+    """
+    if len(ids) != len(coeffs) or not coeffs:
+        raise ValueError(f"{len(ids)} ids for {len(coeffs)} coefficient sets")
+    m, fp = coeffs[0].m, coeffs[0].basis_fingerprint
+    if {(c.m, c.basis_fingerprint) for c in coeffs} != {(m, fp)} or not m:
+        raise ValueError("a coefficient stack needs one M >= 1 and one fingerprint")
+    if fp and not re.fullmatch("[0-9a-f]{64}", fp):
+        raise ValueError(f"basis fingerprint {fp!r} is not a SHA-256 hex digest")
+    order = sorted(range(len(ids)), key=lambda k: f"{ids[k]}.csv")
+    paths = [os.path.join(directory, f"{ids[k]}.csv") for k in order]
+    for p, k in zip(paths, order):
+        coeffs[k].save_csv(p)
+    body = np.stack([coeffs[k].values for k in order]).astype("<f8").tobytes()
+    fields = struct.pack(_STACK_HEADER, _STACK_MAGIC, _STACK_VERSION,
+                         len(coeffs), m, bytes.fromhex(fp or "00" * 32))
+    with open_new(os.path.join(directory, _STACK_NAME), binary=True) as f:
+        f.write(fields)
+        f.write(_stack_digest(fields, paths, body))
+        f.write(body)
+
+
+def _read_stack(directory, paths: list[str]) -> list[SpectralCoefficients] | None:
+    """The directory's stack if it still matches the CSVs at ``paths``; None
+    if it cannot be read, is cut, has another magic or version, was written
+    over a different number of CSVs, or its digest differs."""
+    try:
+        with open(os.path.join(directory, _STACK_NAME), "rb") as f:
+            data = f.read()
+    except OSError:
+        return None
+    fields = struct.calcsize(_STACK_HEADER)
+    head = fields + hashlib.sha256().digest_size
+    if len(data) < head:
+        return None
+    magic, version, s, m, fp = struct.unpack_from(_STACK_HEADER, data)
+    if (magic, version, s) != (_STACK_MAGIC, _STACK_VERSION, len(paths)):
+        return None
+    body = memoryview(data)[head:]
+    if len(body) != 24 * s * m:
+        return None
+    if _stack_digest(data[:fields], paths, body) != data[fields:head]:
+        return None
+    fp_hex = "" if fp == bytes(32) else fp.hex()
+    values = np.frombuffer(body, dtype="<f8").reshape(s, m, 3)
+    return [SpectralCoefficients(v, fp_hex) for v in values]
+
+
+def load_coeff_dir(directory) -> tuple[list[str], list[SpectralCoefficients]]:
+    """The shapes of a coefficient directory: ids and coefficients, sorted by
+    file name, from every ``*.csv`` but those named ``base*``.
+
+    Reads the stack file when it matches the CSVs (see ``_read_stack``), else
+    parses each CSV; both give the same bits. Raises FileNotFoundError when
+    there is no CSV, and ValueError naming the file for a malformed one or
+    for CSVs of different M.
+    """
+    paths = sorted(glob.glob(os.path.join(directory, "*.csv")))
+    paths = [p for p in paths if not os.path.basename(p).startswith("base")]
+    if not paths:
+        raise FileNotFoundError(f"no coefficient CSVs in {directory}")
+    ids = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    coeffs = _read_stack(directory, paths)
+    if coeffs is None:
+        coeffs = [SpectralCoefficients.load_csv(p) for p in paths]
+        # a CSV that does not state M and was cut after whole rows parses;
+        # only its row count shows the cut
+        for p, c in zip(paths, coeffs):
+            if c.m != coeffs[0].m:
+                raise ValueError(
+                    f"{p} has {c.m} coefficient rows, {paths[0]} has {coeffs[0].m}"
+                )
+    return ids, coeffs
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
+import ast
 import filecmp
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,19 +395,20 @@ CSV_FAULTS = {
 
 
 def _copy_coeffs(pipeline, tmp_path):
+    """A copy of the pipeline's coefficient directory, stack file included."""
     _, _, _, coeffs = pipeline
     out = tmp_path / "coeffs"
     out.mkdir()
     for name in os.listdir(coeffs):
-        with open(os.path.join(coeffs, name)) as f:
-            (out / name).write_text(f.read())
+        with open(os.path.join(coeffs, name), "rb") as f:
+            (out / name).write_bytes(f.read())
     return out
 
 
 class TestCoefficientCsv:
     def test_values_bitwise_equal_to_line_parser(self, pipeline):
         _, _, _, coeffs = pipeline
-        for name in sorted(os.listdir(coeffs)):
+        for name in sorted(n for n in os.listdir(coeffs) if n.endswith(".csv")):
             path = os.path.join(coeffs, name)
             np.testing.assert_array_equal(
                 sd.SpectralCoefficients.load_csv(path).values, _old_load_csv(path)
@@ -416,7 +419,8 @@ class TestCoefficientCsv:
         out = _copy_coeffs(pipeline, tmp_path)
         target = out / "003.csv"
         lines = target.read_text().splitlines()
-        head, rows = lines[:2], lines[2:]
+        k = lines.index("index,alpha_x,alpha_y,alpha_z") + 1
+        head, rows = lines[:k], lines[k:]
         target.write_text("\n".join(head + CSV_FAULTS[request.param](rows)) + "\n")
         return out
 
@@ -436,15 +440,166 @@ class TestCoefficientCsv:
     def test_rows_cut_at_the_end_exit_2(self, stage, pipeline, tmp_path, capsys):
         out = _copy_coeffs(pipeline, tmp_path)
         target = out / "003.csv"
-        target.write_text("\n".join(target.read_text().splitlines()[:-5]) + "\n")
         desc = str(tmp_path / "d.json")
         assert main(["descriptor", "--coeffs", str(target), "--out", desc]) == 0
+        target.write_text("\n".join(target.read_text().splitlines()[:-5]) + "\n")
+        assert main(["descriptor", "--coeffs", str(target),
+                     "--out", str(tmp_path / "cut.json")]) == 2
+        assert "003.csv" in capsys.readouterr().err
         args = {
             "cluster": ["cluster", "--coeffs-dir", str(out), "-k", "3"],
             "filter": ["filter", "--descriptor", desc, "--coeffs-dir", str(out)],
         }[stage]
         assert main(args + ["--out", str(tmp_path / "o.csv")]) == 2
         assert "003.csv" in capsys.readouterr().err
+
+
+STACK = spectral._STACK_NAME
+# byte offsets into the stack header: magic, version, S, M, fingerprint,
+# digest
+HEADER_FIELDS = {"magic": 0, "version": 4, "s": 8, "m": 16,
+                 "fingerprint": 24, "digest": 56}
+
+
+def _flip(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _edit_keeping_size(path):
+    """Change the first digit of data row 0's alpha_x: same size, new value."""
+    lines = path.read_text().splitlines(keepends=True)
+    k = lines.index("index,alpha_x,alpha_y,alpha_z\n") + 1
+    i = next(j for j, ch in enumerate(lines[k]) if ch.isdigit() and j > 1)
+    lines[k] = lines[k][:i] + str(int(lines[k][i]) % 9 + 1) + lines[k][i + 1:]
+    path.write_text("".join(lines))
+
+
+# the same coefficient directory, made inconsistent with its stack
+STACK_FAULTS = {
+    "intact": lambda d: None,
+    "stack_deleted": lambda d: (d / STACK).unlink(),
+    "stack_truncated": lambda d: (d / STACK).write_bytes((d / STACK).read_bytes()[:-8]),
+    **{f"header_{field}_flipped": (lambda d, o=offset: _flip(d / STACK, o))
+       for field, offset in HEADER_FIELDS.items()},
+    "body_byte_flipped": lambda d: _flip(d / STACK, 100),
+    "csv_edited_same_size": lambda d: _edit_keeping_size(d / "003.csv"),
+    "csv_added": lambda d: shutil.copy(d / "003.csv", d / "009.csv"),
+    "csv_removed": lambda d: (d / "008.csv").unlink(),
+    "csv_renamed": lambda d: (d / "003.csv").rename(d / "010.csv"),
+}
+
+
+class TestCoefficientStack:
+    """encode writes a stack of the shape CSVs; filter and cluster read it
+    only while it matches the CSVs, with the results of parsing them."""
+
+    def test_stack_agrees_bitwise_with_the_csvs(self, pipeline, monkeypatch):
+        _, _, basis_path, coeffs = pipeline
+        names = sorted(n for n in os.listdir(coeffs)
+                       if n.endswith(".csv") and n != "base.csv")
+        with monkeypatch.context() as m:
+            # the stack is read, not the CSVs
+            m.setattr(sd.SpectralCoefficients, "load_csv", None)
+            ids, stacked = sd.load_coeff_dir(coeffs)
+        assert ids == [n[:-4] for n in names]
+        fingerprint = sd.SpectralBasis.load(basis_path).fingerprint
+        for name, c in zip(names, stacked):
+            parsed = sd.SpectralCoefficients.load_csv(os.path.join(coeffs, name))
+            np.testing.assert_array_equal(c.values.view(np.int64),
+                                          parsed.values.view(np.int64))
+            assert c.basis_fingerprint == parsed.basis_fingerprint == fingerprint
+
+    def test_stack_is_read_whatever_order_the_ids_come_in(self, tmp_path, monkeypatch):
+        values = np.arange(12.0).reshape(4, 3)
+        ids = ["a", "b", "a-b", "0"]  # "a-b.csv" sorts before "a.csv"
+        sd.save_coeff_dir(tmp_path, ids, [
+            sd.SpectralCoefficients(values + k, "ab" * 32) for k in range(len(ids))])
+        monkeypatch.setattr(sd.SpectralCoefficients, "load_csv", None)
+        read, coeffs = sd.load_coeff_dir(tmp_path)
+        assert read == ["0", "a-b", "a", "b"]
+        for i, c in zip(read, coeffs):
+            np.testing.assert_array_equal(c.values, values + ids.index(i))
+
+    def test_stack_identical_run_for_run(self, pipeline, tmp_path):
+        _, _, _, coeffs = pipeline
+        bundle, basis = str(tmp_path / "bundle"), str(tmp_path / "basis.spbs")
+        assert main(GEN + ["--out", bundle]) == 0
+        assert main(["decompose", "--bundle", bundle, "--modes", "40",
+                     "--out", basis]) == 0
+        assert main(["encode", "--bundle", bundle, "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")]) == 0
+        assert filecmp.cmp(tmp_path / "coeffs" / STACK, os.path.join(coeffs, STACK),
+                           shallow=False)
+
+    def _outputs(self, coeffs_dir, desc, capsys):
+        """(exit code, stderr, output bytes) of filter and of cluster."""
+        out = coeffs_dir.parent / "out"
+        out.mkdir(exist_ok=True)
+        runs = {
+            "filter": ["filter", "--descriptor", desc, "--out", str(out / "r.csv")],
+            "cluster": ["cluster", "-k", "3", "--scatter", str(out / "s.dat"),
+                        "--out", str(out / "a.csv")],
+        }
+        results = {}
+        for stage, args in runs.items():
+            for f in out.iterdir():
+                f.unlink()
+            code = main(args + ["--coeffs-dir", str(coeffs_dir)])
+            err = capsys.readouterr().err.replace(str(coeffs_dir), "<dir>")
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            results[stage] = (code, err, files)
+        return results
+
+    @pytest.mark.parametrize("fault", sorted(STACK_FAULTS))
+    def test_filter_and_cluster_as_without_the_stack(
+        self, fault, pipeline, tmp_path, capsys
+    ):
+        _, _, _, coeffs = pipeline
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--augment", "--out", desc]) == 0
+        (tmp_path / "with").mkdir()
+        faulty = _copy_coeffs(pipeline, tmp_path / "with")
+        STACK_FAULTS[fault](faulty)
+        plain = tmp_path / "without" / "coeffs"
+        shutil.copytree(faulty, plain)
+        (plain / STACK).unlink(missing_ok=True)
+        expected = self._outputs(plain, desc, capsys)
+        assert self._outputs(faulty, desc, capsys) == expected
+        assert all(code == 0 for code, _, _ in expected.values())
+
+
+def _format_uses(node, where=None):
+    """(enclosing function, kind) of each name or literal of the stack format;
+    kind is "define" or "use" for a name, "literal" for a literal."""
+    names = {"_STACK_NAME", "_STACK_MAGIC", "_STACK_VERSION", "_STACK_HEADER",
+             "_stack_digest"}
+    literals = {spectral._STACK_NAME, spectral._STACK_MAGIC, spectral._STACK_HEADER}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Name) and node.id in names:
+        yield where, "define" if isinstance(node.ctx, ast.Store) else "use"
+    elif isinstance(node, ast.Attribute) and node.attr in names:
+        yield where, "use"
+    elif (isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+          and node.value in literals):
+        yield where, "literal"
+    for child in ast.iter_child_nodes(node):
+        yield from _format_uses(child, where)
+
+
+def test_only_the_stack_writer_and_reader_touch_its_format():
+    found = set()
+    for path in sorted(Path(sd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {(path.name, where, kind) for where, kind in _format_uses(tree)}
+    # the format's constants are defined at the top level of spectral.py,
+    # and only its writer and its reader read them
+    assert {(f, w) for f, w, kind in found if kind != "use"} == {("spectral.py", None)}
+    assert {(f, w) for f, w, kind in found if kind == "use"} == {
+        ("spectral.py", "save_coeff_dir"), ("spectral.py", "_read_stack")}
 
 
 def _copy_bundle(pipeline, tmp_path):
@@ -549,7 +704,12 @@ class TestInputFiles:
         (lambda doc: "not json", "JSONDecodeError"),
         (lambda doc: json.dumps({**doc, "entries": [1, 2]}),
          "TypeError"),
-    ], ids=["not JSON", "entries are numbers"])
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "index": "a"}]}),
+         "ValueError"),
+        (lambda doc: json.dumps({**doc, "entries": []}), "ValueError"),
+    ], ids=["not JSON", "entries are numbers", "index is not a number",
+            "no entries"])
     def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, _, coeffs = pipeline
         desc = tmp_path / "d.json"
@@ -561,6 +721,7 @@ class TestInputFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert str(desc) in err and message in err
+
 
 
 def _stage_args(stage, pipeline, tmp_path, variant):

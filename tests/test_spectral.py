@@ -367,7 +367,8 @@ class TestPersistence:
         path = tmp_path / "c.csv"
         coeffs.save_csv(path)
         first = path.read_text().splitlines()
-        assert first[1] == "index,alpha_x,alpha_y,alpha_z"
+        assert first[:3] == [f"# basis_fingerprint: {basis.fingerprint}",
+                             f"# m: {basis.m}", "index,alpha_x,alpha_y,alpha_z"]
         again = sd.SpectralCoefficients.load_csv(path)
         np.testing.assert_array_equal(again.values, coeffs.values)
         assert again.basis_fingerprint == coeffs.basis_fingerprint
