@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 empty result.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -213,7 +214,9 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="spectral-deform",
         description="Spectral deformation descriptors for simulation bundles",

@@ -5,16 +5,22 @@ normalization), so that its eigenvectors are orthonormal in the standard
 inner product and plain-transpose projections are valid. A purely
 combinatorial graph Laplacian serves as a robust fallback for near-degenerate
 meshes.
+
+scipy is imported inside the functions that use it, so that importing the
+package does not import scipy.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .mesh import MeshError, TriangleMesh
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "cotangent_laplacian",
@@ -48,6 +54,8 @@ def cotangent_laplacian(mesh: TriangleMesh) -> sparse.csr_matrix:
     MeshError
         If any triangle area is below 1e-12 times the mean area.
     """
+    from scipy import sparse
+
     v = mesh.vertices
     t = mesh.triangles
     n = mesh.n_vertices
@@ -87,6 +95,8 @@ def uniform_laplacian(mesh: TriangleMesh) -> sparse.csr_matrix:
 
 def graph_laplacian(n: int, edges: np.ndarray) -> sparse.csr_matrix:
     """Graph Laplacian of an explicit undirected edge list."""
+    from scipy import sparse
+
     e = np.asarray(edges, dtype=np.int64)
     i = np.concatenate([e[:, 0], e[:, 1]])
     j = np.concatenate([e[:, 1], e[:, 0]])
@@ -97,6 +107,8 @@ def graph_laplacian(n: int, edges: np.ndarray) -> sparse.csr_matrix:
 
 def operator_fingerprint(L: sparse.spmatrix) -> str:
     """Content hash (sha256 hex) of a sparse matrix in canonical COO order."""
+    from scipy import sparse
+
     coo = sparse.coo_matrix(L)
     order = np.lexsort((coo.col, coo.row))
     h = hashlib.sha256()

@@ -7,12 +7,11 @@ spectral coefficients compare shapes through shared vertex indexing.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from ._files import open_new
 
@@ -107,6 +106,11 @@ class DeformedState:
 
 
 def _component_count(n: int, triangles: np.ndarray) -> int:
+    # scipy is imported where it runs: a stage that never validates a mesh
+    # (descriptor, filter, cluster) never pays for importing it
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     i = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 2]])
     j = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 0]])
     adj = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
@@ -114,15 +118,16 @@ def _component_count(n: int, triangles: np.ndarray) -> int:
     return n_comp
 
 
+# a comment: "#" up to the next line end that str.splitlines recognises
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def _lines(content: bytes | str) -> list[str]:
+    """The non-empty lines of ``content``, comments removed, stripped."""
     if isinstance(content, bytes):
         content = content.decode("utf-8")
-    out = []
-    for raw in content.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+    lines = _COMMENT.sub("", content).splitlines()
+    return list(filter(None, map(str.strip, lines)))
 
 
 def _parse_off(lines: list[str]) -> TriangleMesh:

@@ -127,9 +127,12 @@ def filter_bundle(
     top_k: int | None = None,
     min_score: float | None = None,
 ) -> list:
-    """Ids of the ranking prefix selected by top_k or min_score (exactly one)."""
+    """Ids of the ranking prefix selected by top_k >= 1 or min_score
+    (exactly one)."""
     if (top_k is None) == (min_score is None):
         raise ValueError("specify exactly one of top_k or min_score")
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     ranking = rank_bundle(descriptor, bundle_coeffs, ids)
     if top_k is not None:
         if top_k > len(ranking.ids):

@@ -12,6 +12,9 @@ A coefficient directory holds one CSV per shape, ``<id>.csv``, and the
 stack file ``coefficients.spcs``: the same coefficients as one binary
 (S, M, 3) array, with a digest of the CSVs it was written over. The CSVs are
 authoritative; the stack is read only while its digest still matches them.
+
+scipy is imported only by the solvers that run it, so that the stages which
+only read and write coefficients never import it.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import re
 import struct
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import linalg as dla
-from scipy import sparse
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from ._files import open_new
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "EigensolverError",
@@ -382,6 +386,17 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
+def eigsh(*args, **kwargs):
+    """scipy's ``scipy.sparse.linalg.eigsh``, imported on the first call.
+
+    A module-level name that ``_banded_eigsh`` looks up on every call, so
+    that one rebinding of ``spectral.eigsh`` reaches every band.
+    """
+    from scipy.sparse.linalg import eigsh as scipy_eigsh
+
+    return scipy_eigsh(*args, **kwargs)
+
+
 def _banded_eigsh(
     L: sparse.spmatrix, m: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -399,6 +414,8 @@ def _banded_eigsh(
     gap wider than the degenerate_flags rule, so no degenerate cluster is
     split between two bands.
     """
+    from scipy.sparse.linalg import ArpackError
+
     n = L.shape[0]
     A = L.tocsc()
     scale = max(abs(L.diagonal()).max(), 1.0)
@@ -500,7 +517,9 @@ def eigendecompose(
         method = "dense" if dense else "lanczos"
 
     if method == "dense":
-        vals, vecs = dla.eigh(np.asarray(L.todense()), subset_by_index=[0, m - 1])
+        from scipy import linalg
+
+        vals, vecs = linalg.eigh(np.asarray(L.todense()), subset_by_index=[0, m - 1])
     else:
         vals, vecs = _banded_eigsh(L, m, seed)
     _verify(L, vals, vecs)

@@ -3,13 +3,15 @@ import filecmp
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spectral_deform as sd
-from spectral_deform import spectral
+from spectral_deform import cli, spectral
 from spectral_deform.cli import main
 
 GEN = ["generate", "--per-mode", "3", "3", "3", "--seed", "11",
@@ -338,6 +340,20 @@ class TestFilter:
                      "--top-k", "3", "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "different bases" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("top_k", ["0", "-1", "-9"])
+    def test_top_k_below_one_exit_2(self, pipeline, tmp_path, capsys, top_k):
+        _, _, _, coeffs = pipeline
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--out", desc]) == 0
+        out = tmp_path / "rank.csv"
+        code = main(["filter", "--descriptor", desc, "--coeffs-dir", coeffs,
+                     "--top-k", top_k, "--out", str(out)])
+        assert code == 2
+        assert f"top_k must be at least 1, got {top_k}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCluster:
@@ -768,3 +784,86 @@ def test_rerun_replaces_outputs(stage, pipeline, tmp_path):
     finally:
         for f in held:
             f.close()
+
+
+# a fresh interpreter runs the given stages through cli.main and prints, per
+# stage, its exit code and whether scipy has been imported by then
+COLD_START = """\
+import json, sys
+import spectral_deform, spectral_deform.cli
+seen = [("import", 0, "scipy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    code = spectral_deform.cli.main(argv)
+    seen.append((argv[0], code, "scipy" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    def test_query_stages_never_import_scipy(self, pipeline, tmp_path):
+        _, bundle, basis, coeffs = pipeline
+        desc = str(tmp_path / "d.json")
+        stages = [
+            ["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+             "--augment", "--out", desc],
+            ["descriptor", "--coeffs", os.path.join(coeffs, "003.csv"),
+             "--tune", "inf", "--basis", basis, "--out", str(tmp_path / "t.json")],
+            ["filter", "--descriptor", desc, "--coeffs-dir", coeffs,
+             "--top-k", "3", "--out", str(tmp_path / "r.csv")],
+            ["cluster", "--coeffs-dir", coeffs, "-k", "3",
+             "--out", str(tmp_path / "a.csv")],
+            ["decompose", "--bundle", bundle, "--modes", "20",
+             "--out", str(tmp_path / "b.spbs")],
+        ]
+        src = str(Path(sd.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", COLD_START, json.dumps(stages)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        assert json.loads(out) == [
+            ["import", 0, False],
+            ["descriptor", 0, False],
+            ["descriptor", 0, False],
+            ["filter", 0, False],
+            ["cluster", 0, False],
+            # the eigensolve does need scipy
+            ["decompose", 0, True],
+        ]
+
+    def test_cached_parser_as_a_fresh_one_per_call(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        _, _, _, coeffs = pipeline
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--out", desc]) == 0
+        out = tmp_path / "r.csv"
+        query = ["filter", "--descriptor", desc, "--coeffs-dir", coeffs,
+                 "--out", str(out)]
+        calls = [
+            ["--verbose", *query, "--top-k", "3"],
+            [*query, "--min-score", "0.5"],
+            [*query, "--top-k", "3", "--min-score", "0.5"],  # argparse: exit 2
+            [*query],
+        ]
+
+        def run_all():
+            seen = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as e:
+                    code = e.code
+                std = capsys.readouterr()
+                seen.append((code, std.out, std.err, out.read_bytes()))
+            return seen
+
+        assert cli.build_parser() is cli.build_parser()
+        cached = run_all()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        fresh = run_all()
+        assert [c[0] for c in cached] == [0, 0, 2, 0]
+        assert cached == fresh

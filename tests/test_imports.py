@@ -1,5 +1,6 @@
-"""No library module imports a name it never reads or defines a private
-helper that nothing in the package reads."""
+"""No library module imports a name it never reads, defines a private
+helper that nothing in the package reads, or imports scipy when it is
+imported."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,43 @@ def test_no_private_helper_is_dead():
         and node.name not in read
     )
     assert dead == []
+
+
+def _import_time_scipy(tree: ast.Module) -> list[int]:
+    """Lines of scipy imports that run when the module is imported: those
+    outside function bodies and outside ``if TYPE_CHECKING:``."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING"
+        ):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            names = []
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return lines
+
+
+def test_no_module_imports_scipy_when_imported():
+    # importing scipy.sparse alone takes about 70 ms; the stages that never
+    # solve or validate (descriptor, filter, cluster) must not pay for it
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _import_time_scipy(ast.parse(path.read_text(), str(path)))
+        if lines:
+            found[path.name] = lines
+    assert found == {}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spectral_deform as sd
+from spectral_deform import mesh
 from spectral_deform.mesh import MeshError
 
 MIN_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -264,3 +265,24 @@ def test_write_parse_bit_identical(vertices):
     again = sd.parse_mesh(text, "off")
     np.testing.assert_array_equal(again.vertices.view(np.int64), m.vertices.view(np.int64))
     np.testing.assert_array_equal(again.triangles, m.triangles)
+
+
+def _lines_per_line(content: str) -> list[str]:
+    """The comment stripping that split each line at its first "#"."""
+    out = []
+    for raw in content.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append(line)
+    return out
+
+
+# every line boundary of str.splitlines ("\r\n" arises as "\r" then "\n")
+LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.text(alphabet=st.sampled_from(list("0123456789 \t#" + LINE_ENDS))))
+@example("1 2 # a\r\n# b\x85 3 #\u2028\t4\x1c#")
+def test_comment_stripping_matches_per_line_split(content):
+    assert mesh._lines(content) == _lines_per_line(content)

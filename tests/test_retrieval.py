@@ -136,6 +136,13 @@ class TestFilter:
         ranking = sd.rank_bundle(desc, bundle)
         assert sd.filter_bundle(desc, bundle, top_k=9) == list(ranking.ids[:9])
 
+    @pytest.mark.parametrize("top_k", [0, -1, -100])
+    def test_top_k_below_one_rejected(self, simple, top_k):
+        # as a slice bound, -1 would drop the last shape and 0 or -S all
+        source, desc = simple
+        with pytest.raises(ValueError, match=f"top_k must be at least 1, got {top_k}"):
+            sd.filter_bundle(desc, [source, source], top_k=top_k)
+
     def test_exactly_one_mode_required(self, simple):
         source, desc = simple
         with pytest.raises(ValueError):

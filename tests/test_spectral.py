@@ -187,7 +187,7 @@ class TestVerification:
             vecs[:, 3] += 1e-4
             return vals, vecs
 
-        monkeypatch.setattr(spectral.dla, "eigh", perturbed)
+        monkeypatch.setattr(dla, "eigh", perturbed)
         L = sd.cotangent_laplacian(small_beam)
         with pytest.raises(EigensolverError, match="residual"):
             sd.eigendecompose(L, 20, method="dense")
