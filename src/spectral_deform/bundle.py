@@ -287,13 +287,18 @@ def bundle_from_manifest(manifest: dict) -> SimulationBundle:
 
 
 def save_bundle(directory, bundle: SimulationBundle) -> None:
-    """Write base.off, states/NNN.off and manifest.json into a directory."""
+    """Write base.off, states/NNN.off and manifest.json into a directory.
+
+    Each state is written as the base's validated triangles with the state's
+    coordinates, so the triangles are neither validated nor formatted again
+    per state.
+    """
     os.makedirs(os.path.join(directory, "states"), exist_ok=True)
     save_mesh(os.path.join(directory, "base.off"), bundle.base)
     for i, state in enumerate(bundle.states):
         save_mesh(
             os.path.join(directory, "states", f"{i:03d}.off"),
-            TriangleMesh(state.coordinates, bundle.base.triangles),
+            bundle.base.with_vertices(state.coordinates),
         )
     with open_new(os.path.join(directory, "manifest.json")) as f:
         json.dump(bundle.manifest, f, indent=2, sort_keys=True)
@@ -304,9 +309,10 @@ def load_bundle(directory) -> SimulationBundle:
     """Read a bundle directory back.
 
     Raises ValueError naming the manifest if it is not JSON, lacks a key
-    read here or has such a field of the wrong type, and MeshError unless
-    every state has the base's vertex count and the base's triangles, in the
-    same order.
+    read here or has such a field of the wrong type, and MeshError naming the
+    state and its file unless every state has the base's vertex count and
+    the base's triangles, in the same order. Only the base is validated as a
+    mesh; the states share its triangles (``load_mesh(..., like=base)``).
     """
     path = os.path.join(directory, "manifest.json")
     with open(path) as f:
@@ -319,12 +325,10 @@ def load_bundle(directory) -> SimulationBundle:
     base = load_mesh(os.path.join(directory, "base.off"))
     states = []
     for i, label in enumerate(labels):
-        mesh = load_mesh(os.path.join(directory, "states", f"{i:03d}.off"))
-        if mesh.n_vertices != base.n_vertices:
-            raise MeshError(
-                f"state {i} has {mesh.n_vertices} vertices, base has {base.n_vertices}"
-            )
-        if not np.array_equal(mesh.triangles, base.triangles):
-            raise MeshError(f"state {i} has different triangles from the base")
+        try:
+            mesh = load_mesh(os.path.join(directory, "states", f"{i:03d}.off"),
+                             like=base)
+        except MeshError as e:
+            raise MeshError(f"state {i}: {e}") from e
         states.append(DeformedState(mesh.vertices, label=label))
     return SimulationBundle(base=base, states=states, manifest=manifest)

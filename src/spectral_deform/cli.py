@@ -6,8 +6,8 @@ coefficient directory, descriptor JSON, ranking/assignment CSVs), so each
 stage is independently runnable and outputs are bitwise-stable given the
 same inputs and seeds.
 
-``encode`` writes a coefficient directory: one CSV per shape plus
-``base.csv``, then a binary stack of the shapes with a digest of their CSVs.
+``encode`` writes a coefficient directory: one CSV per shape, then a binary
+stack of the shapes with a digest of their CSVs, then ``base.csv``.
 ``filter`` and ``cluster`` read the stack while the digest still matches
 the CSVs on disk and parse the CSVs otherwise, with the same results either
 way; the CSVs are authoritative.
@@ -42,7 +42,7 @@ from .descriptor import (
     tune_threshold,
 )
 from .laplacian import cotangent_laplacian, operator_fingerprint, uniform_laplacian
-from .mesh import TriangleMesh, load_mesh, save_mesh
+from .mesh import load_mesh, save_mesh
 from .retrieval import (
     SimilarityRanking,
     cluster_coefficients,
@@ -110,14 +110,16 @@ def cmd_encode(args) -> int:
     basis = SpectralBasis.load(args.basis)
     bundle = load_bundle(args.bundle)
     os.makedirs(args.out, exist_ok=True)
-    encode_geometry(basis, bundle.base.vertices).save_csv(
-        os.path.join(args.out, "base.csv")
-    )
     s = len(bundle.states)
+    # first the shapes: save_coeff_dir refuses a directory holding another
+    # bundle's shape CSVs before anything is written
     save_coeff_dir(
         args.out,
         [f"{i:03d}" for i in range(s)],
         [encode_geometry(basis, state.coordinates) for state in bundle.states],
+    )
+    encode_geometry(basis, bundle.base.vertices).save_csv(
+        os.path.join(args.out, "base.csv")
     )
     if args.verbose:
         print(f"wrote {s + 1} coefficient CSVs and the stack of the {s} "
@@ -172,7 +174,7 @@ def cmd_reconstruct(args) -> int:
         coords = reconstruct_geometry(basis, coeffs, subset)
         save_mesh(
             os.path.join(args.out, f"recon_{name}.off"),
-            TriangleMesh(coords, base.triangles),
+            base.with_vertices(coords),
         )
         rows.append((name, _rms_error(coords, reference)))
     with open_new(os.path.join(args.out, "errors.csv")) as f:

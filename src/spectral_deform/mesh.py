@@ -7,6 +7,7 @@ spectral coefficients compare shapes through shared vertex indexing.
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ class TriangleMesh:
     Construction validates index ranges, degenerate index triples and
     connectivity; a disconnected mesh is rejected outright since the whole
     pipeline relies on the operator having a single constant null vector.
+    ``with_vertices`` gives a mesh of the same triangles with new coordinates
+    without validating them again.
     """
 
     vertices: np.ndarray
@@ -73,6 +76,25 @@ class TriangleMesh:
         t.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
+        object.__setattr__(self, "_faces", _Faces(t))
+
+    def with_vertices(self, coords) -> TriangleMesh:
+        """This mesh's triangles with new (N, 3) vertex coordinates.
+
+        Only the shape is checked: index range, degeneracy and connectivity
+        depend on N and the triangles alone, so they hold already. The new
+        mesh shares the triangle array, and the OFF face section is formatted
+        once for all meshes that share it.
+        """
+        v = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
+        if v.shape != self.vertices.shape:
+            raise MeshError(f"expected {self.vertices.shape} vertices, got {v.shape}")
+        v.setflags(write=False)
+        mesh = object.__new__(TriangleMesh)
+        object.__setattr__(mesh, "vertices", v)
+        object.__setattr__(mesh, "triangles", self.triangles)
+        object.__setattr__(mesh, "_faces", self._faces)
+        return mesh
 
     @property
     def n_vertices(self) -> int:
@@ -105,6 +127,18 @@ class DeformedState:
         object.__setattr__(self, "coordinates", c)
 
 
+class _Faces:
+    """A validated triangle array and its OFF face section, which is
+    formatted on first use and then shared by every mesh of these triangles."""
+
+    def __init__(self, triangles: np.ndarray):
+        self.triangles = triangles
+
+    @functools.cached_property
+    def off(self) -> str:
+        return "".join(f"3 {a} {b} {c}\n" for a, b, c in self.triangles.tolist())
+
+
 def _component_count(n: int, triangles: np.ndarray) -> int:
     # scipy is imported where it runs: a stage that never validates a mesh
     # (descriptor, filter, cluster) never pays for importing it
@@ -130,7 +164,8 @@ def _lines(content: bytes | str) -> list[str]:
     return list(filter(None, map(str.strip, lines)))
 
 
-def _parse_off(lines: list[str]) -> TriangleMesh:
+def _parse_off(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3) vertex and (F, 3) triangle arrays of OFF lines, unvalidated."""
     if not lines or lines[0].split()[0] != "OFF":
         raise MeshError("missing OFF header")
     rest = lines[0].split()[1:]
@@ -183,7 +218,7 @@ def _parse_off(lines: list[str]) -> TriangleMesh:
     not_tri = np.flatnonzero(faces[:, 0] != 3)
     if not_tri.size:
         raise _not_triangle(int(not_tri[0]), flines[not_tri[0]])
-    return TriangleMesh(verts, faces[:, 1:])
+    return verts, faces[:, 1:]
 
 
 def _table(lines: list[str], dtype, ncols: int) -> np.ndarray:
@@ -213,14 +248,15 @@ def parse_mesh(content: bytes | str, fmt: str) -> TriangleMesh:
     """
     if fmt.lower() != "off":
         raise MeshError(f"unknown mesh format {fmt!r}")
-    return _parse_off(_lines(content))
+    return TriangleMesh(*_parse_off(_lines(content)))
 
 
 def write_mesh(mesh: TriangleMesh, fmt: str) -> str:
     """Serialize a mesh to OFF text.
 
     Coordinates are written in shortest round-trip form (``repr`` of a
-    Python float), so they parse back to the same bits.
+    Python float), so they parse back to the same bits. The face section is
+    formatted once per set of triangles (see ``TriangleMesh.with_vertices``).
     """
     if not np.isfinite(mesh.vertices).all():
         raise MeshError("refusing to serialize non-finite vertex coordinates")
@@ -228,8 +264,7 @@ def write_mesh(mesh: TriangleMesh, fmt: str) -> str:
         raise MeshError(f"unknown mesh format {fmt!r}")
     out = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
     out += [f"{a!r} {b!r} {c!r}" for a, b, c in mesh.vertices.tolist()]
-    out += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n" + mesh._faces.off
 
 
 def _fmt_from_path(path) -> str:
@@ -239,13 +274,25 @@ def _fmt_from_path(path) -> str:
     return suffix
 
 
-def load_mesh(path) -> TriangleMesh:
+def load_mesh(path, like: TriangleMesh | None = None) -> TriangleMesh:
     """Read an OFF file; a parse or validation error is a MeshError naming
-    the file."""
+    the file.
+
+    With ``like``, the file must hold the vertex count and the triangles of
+    that mesh, in the same order, and the result is
+    ``like.with_vertices(...)``: it shares those validated triangles, so they
+    are not validated again.
+    """
     with open(path, "rb") as f:
         content = f.read()
     try:
-        return parse_mesh(content, _fmt_from_path(path))
+        fmt = _fmt_from_path(path)
+        if like is None:
+            return parse_mesh(content, fmt)
+        verts, triangles = _parse_off(_lines(content))
+        if not np.array_equal(triangles, like.triangles):
+            raise MeshError("triangles differ from the base mesh's")
+        return like.with_vertices(verts)
     except ValueError as e:
         raise MeshError(f"mesh file {path}: {e}") from e
 

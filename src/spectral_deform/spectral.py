@@ -224,8 +224,8 @@ class SpectralCoefficients:
                 f.write(f"# basis_fingerprint: {self.basis_fingerprint}\n")
             f.write(f"# m: {self.m}\n")
             f.write(_CSV_HEADER)
-            for i, (x, y, z) in enumerate(self.values):
-                f.write(f"{i},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+            f.write("".join(f"{i},{x!r},{y!r},{z!r}\n"
+                            for i, (x, y, z) in enumerate(self.values.tolist())))
 
     @classmethod
     def load_csv(cls, path) -> "SpectralCoefficients":
@@ -297,6 +297,10 @@ def save_coeff_dir(directory, ids: list[str], coeffs: list[SpectralCoefficients]
     The shapes must share one M >= 1 and one basis fingerprint, empty or a
     SHA-256 hex digest. The stack holds them in the order ``load_coeff_dir``
     finds their CSVs, sorted by name.
+
+    Raises ValueError before writing anything if the directory holds a shape
+    CSV that this call would not overwrite: ``load_coeff_dir`` would read it
+    as one more shape of the bundle.
     """
     if len(ids) != len(coeffs) or not coeffs:
         raise ValueError(f"{len(ids)} ids for {len(coeffs)} coefficient sets")
@@ -307,6 +311,13 @@ def save_coeff_dir(directory, ids: list[str], coeffs: list[SpectralCoefficients]
         raise ValueError(f"basis fingerprint {fp!r} is not a SHA-256 hex digest")
     order = sorted(range(len(ids)), key=lambda k: f"{ids[k]}.csv")
     paths = [os.path.join(directory, f"{ids[k]}.csv") for k in order]
+    names = {os.path.basename(p) for p in paths}
+    for p in _shape_csvs(directory):
+        if os.path.basename(p) not in names:
+            raise ValueError(
+                f"{p} is a shape CSV of another bundle: encode into a new "
+                "directory or remove it"
+            )
     for p, k in zip(paths, order):
         coeffs[k].save_csv(p)
     body = np.stack([coeffs[k].values for k in order]).astype("<f8").tobytes()
@@ -344,6 +355,12 @@ def _read_stack(directory, paths: list[str]) -> list[SpectralCoefficients] | Non
     return [SpectralCoefficients(v, fp_hex) for v in values]
 
 
+def _shape_csvs(directory) -> list[str]:
+    """Paths of the directory's ``*.csv`` files but ``base*``, sorted."""
+    paths = sorted(glob.glob(os.path.join(directory, "*.csv")))
+    return [p for p in paths if not os.path.basename(p).startswith("base")]
+
+
 def load_coeff_dir(directory) -> tuple[list[str], list[SpectralCoefficients]]:
     """The shapes of a coefficient directory: ids and coefficients, sorted by
     file name, from every ``*.csv`` but those named ``base*``.
@@ -353,8 +370,7 @@ def load_coeff_dir(directory) -> tuple[list[str], list[SpectralCoefficients]]:
     there is no CSV, and ValueError naming the file for a malformed one or
     for CSVs of different M.
     """
-    paths = sorted(glob.glob(os.path.join(directory, "*.csv")))
-    paths = [p for p in paths if not os.path.basename(p).startswith("base")]
+    paths = _shape_csvs(directory)
     if not paths:
         raise FileNotFoundError(f"no coefficient CSVs in {directory}")
     ids = [os.path.splitext(os.path.basename(p))[0] for p in paths]

@@ -147,6 +147,34 @@ class TestEncode:
         )
 
 
+    def test_other_bundles_shape_csv_refused(self, pipeline, tmp_path, capsys):
+        _, bundle, basis, _ = pipeline
+        twelve = str(tmp_path / "twelve")
+        gen12 = GEN[:2] + ["4", "4", "4"] + GEN[5:]
+        assert main(gen12 + ["--out", twelve]) == 0
+        out = tmp_path / "coeffs"
+        assert main(["encode", "--bundle", twelve, "--basis", basis,
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code = main(["encode", "--bundle", bundle, "--basis", basis,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{out / '009.csv'} is a shape CSV" in capsys.readouterr().err
+        # nothing was written
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_same_bundle_encodes_again_in_place(self, pipeline, tmp_path):
+        _, bundle, basis, coeffs = pipeline
+        out = tmp_path / "coeffs"
+        shutil.copytree(coeffs, out)
+        assert main(["encode", "--bundle", bundle, "--basis", basis,
+                     "--out", str(out)]) == 0
+        names = sorted(os.listdir(coeffs))
+        assert sorted(os.listdir(out)) == names
+        _, mismatch, errors = filecmp.cmpfiles(coeffs, out, names, shallow=False)
+        assert mismatch == errors == []
+
+
 class TestDescriptor:
     def test_statistical_default(self, pipeline, tmp_path):
         _, _, _, coeffs = pipeline
@@ -640,6 +668,58 @@ class TestStateConnectivity:
                      "--out", str(tmp_path / "coeffs")])
         assert code == 2
         assert "state 4" in capsys.readouterr().err
+
+    def test_extra_vertex_exit_2(self, pipeline, tmp_path, capsys):
+        _, _, basis, _ = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
+        state = copy / "states" / "004.off"
+        lines = state.read_text().splitlines()
+        n_v, n_f, n_e = lines[1].split()
+        lines[1] = f"{int(n_v) + 1} {n_f} {n_e}"
+        lines.insert(2 + int(n_v), "1.5 2.5 3.5")  # a vertex no face uses
+        state.write_text("\n".join(lines) + "\n")
+        code = main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "state 4" in err and "004.off" in err
+
+    def test_face_spacing_and_comments_ignored(self, pipeline, tmp_path):
+        _, _, basis, coeffs = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
+        state = copy / "states" / "004.off"
+        lines = state.read_text().splitlines()
+        n_v = int(lines[1].split()[0])
+        faces = [" 3  {} \t{}   {}  # face".format(*line.split()[1:])
+                 for line in lines[2 + n_v:]]
+        lines[2 + n_v:] = ["# the faces"] + faces
+        state.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "coeffs"
+        assert main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(out)]) == 0
+        names = sorted(os.listdir(coeffs))
+        assert sorted(os.listdir(out)) == names
+        _, mismatch, errors = filecmp.cmpfiles(coeffs, out, names, shallow=False)
+        assert mismatch == errors == []
+
+    def test_only_base_meshes_are_validated(self, pipeline, tmp_path, monkeypatch):
+        """States take the base's validated triangles: generate validates
+        its two base builds, encode the base it reads, and no state."""
+        _, _, basis, _ = pipeline
+        validated = []
+        post_init = sd.TriangleMesh.__post_init__
+
+        def counting(mesh):
+            validated.append(mesh.n_triangles)
+            post_init(mesh)
+
+        monkeypatch.setattr(sd.TriangleMesh, "__post_init__", counting)
+        bundle = str(tmp_path / "bundle")
+        assert main(GEN + ["--out", bundle]) == 0
+        assert len(validated) == 2
+        assert main(["encode", "--bundle", bundle, "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")]) == 0
+        assert len(validated) == 3
 
 
 class TestInputFiles:

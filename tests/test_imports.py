@@ -1,6 +1,6 @@
 """No library module imports a name it never reads, defines a private
-helper that nothing in the package reads, or imports scipy when it is
-imported."""
+helper that nothing in the package reads, imports scipy when it is
+imported, or validates again triangles that another mesh already holds."""
 
 import ast
 from pathlib import Path
@@ -95,3 +95,27 @@ def test_no_module_imports_scipy_when_imported():
         if lines:
             found[path.name] = lines
     assert found == {}
+
+
+def _revalidated_triangles(node, where=None):
+    """Enclosing functions of ``TriangleMesh(x, y.triangles)`` calls: they
+    build and validate a mesh from triangles that ``y`` has validated."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+    if called == "TriangleMesh":
+        given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "triangles"]
+        if any(isinstance(a, ast.Attribute) and a.attr == "triangles" for a in given):
+            yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _revalidated_triangles(child, where)
+
+
+def test_no_module_validates_known_triangles_again():
+    # a state or a reconstruction takes its base's triangles through
+    # base.with_vertices(coords), which checks only the shape
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {f"{path.name}:{where}" for where in _revalidated_triangles(tree)}
+    assert found == set()

@@ -1,4 +1,6 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spectral_deform as sd
+from conftest import SMALL_BEAM
 from spectral_deform import mesh
 from spectral_deform.mesh import MeshError
 
@@ -286,3 +289,47 @@ LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 @example("1 2 # a\r\n# b\x85 3 #\u2028\t4\x1c#")
 def test_comment_stripping_matches_per_line_split(content):
     assert mesh._lines(content) == _lines_per_line(content)
+
+
+BEAM = sd.generate_hat_beam(SMALL_BEAM)
+EXTREMES = [-0.0, 5e-324, -5e-324, 1e308, -1e308]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(hnp.arrays(
+    np.float64,
+    BEAM.vertices.shape,
+    elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES),
+))
+@example(np.resize(EXTREMES, BEAM.vertices.shape))
+def test_mesh_with_base_triangles_as_a_validated_one(vertices):
+    """A mesh that takes the base's triangles writes the bytes of one built
+    and validated from scratch, and reading a file like the base gives the
+    vertex bits of a plain read with the base's own triangle array."""
+    shared = BEAM.with_vertices(vertices)
+    text = sd.write_mesh(shared, "off")
+    assert text == sd.write_mesh(sd.TriangleMesh(vertices, BEAM.triangles), "off")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "state.off"
+        sd.save_mesh(path, shared)
+        like = sd.load_mesh(path, like=BEAM)
+        plain = sd.load_mesh(path)
+    np.testing.assert_array_equal(like.vertices.view(np.int64),
+                                  plain.vertices.view(np.int64))
+    assert like.triangles is BEAM.triangles
+
+
+@pytest.mark.parametrize("shape", [(499, 3), (501, 3), (500, 2)])
+def test_with_vertices_rejects_another_shape(shape):
+    with pytest.raises(MeshError, match=r"expected \(500, 3\) vertices"):
+        BEAM.with_vertices(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_not_saved(tmp_path, bad):
+    v = BEAM.vertices.copy()
+    v[7, 1] = bad
+    path = tmp_path / "state.off"
+    with pytest.raises(MeshError, match="finite"):
+        sd.save_mesh(path, BEAM.with_vertices(v))
+    assert not path.exists()
