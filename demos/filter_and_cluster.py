@@ -27,11 +27,7 @@ coeffs = [sd.encode_geometry(basis, s.coordinates) for s in bundle.states]
 
 # --- similarity filtering -------------------------------------------------
 probe = 25  # one of the axial-crush states
-t = sd.statistical_threshold(coeffs[probe])
-desc = sd.complete_descriptor(
-    sd.select_by_threshold(coeffs[probe], t), coeffs[probe],
-    augment=True, threshold=t, label=str(labels[probe]),
-)
+desc = sd.build_descriptor(coeffs[probe], augment=True, label=str(labels[probe]))
 print(f"\nprobe shape {probe} ({labels[probe]}), "
       f"descriptor size {desc.size_m}")
 

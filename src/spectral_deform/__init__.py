@@ -16,7 +16,6 @@ from .mesh import (
     write_mesh,
     load_mesh,
     save_mesh,
-    displacement_field,
 )
 from .laplacian import (
     cotangent_laplacian,
@@ -42,15 +41,15 @@ from .descriptor import (
     DeformationDescriptor,
     statistical_threshold,
     select_by_threshold,
-    select_by_baseline_difference,
     complete_descriptor,
+    build_descriptor,
     reconstruction_error,
+    compare_reconstructions,
     tune_threshold,
 )
 from .retrieval import (
     SimilarityRanking,
     ClusterAssignment,
-    cosine_similarity,
     rank_bundle,
     filter_bundle,
     cluster_coefficients,

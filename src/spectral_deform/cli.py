@@ -4,7 +4,9 @@ reconstruct | filter | cluster.
 Stages communicate exclusively through files (bundle directory, SPBS basis,
 coefficient directory, descriptor JSON, ranking/assignment CSVs), so each
 stage is independently runnable and outputs are bitwise-stable given the
-same inputs and seeds.
+same inputs and seeds. Each stage parses its arguments, loads its inputs,
+leaves the work to the library and saves what it returns; ``descriptor`` and
+``reconstruct`` are one library call each, so their rules live in the library.
 
 ``encode`` writes a coefficient directory: one CSV per shape, then a binary
 stack of the shapes with a digest of their CSVs, then ``base.csv``.
@@ -22,8 +24,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from ._files import open_new
 from .bundle import (
     BeamParams,
@@ -34,11 +34,8 @@ from .bundle import (
 from .descriptor import (
     DeformationDescriptor,
     EmptySelectionError,
-    _difference,
-    _rms_error,
-    complete_descriptor,
-    select_by_threshold,
-    statistical_threshold,
+    build_descriptor,
+    compare_reconstructions,
     tune_threshold,
 )
 from .laplacian import cotangent_laplacian, operator_fingerprint, uniform_laplacian
@@ -56,11 +53,9 @@ from .spectral import (
     EigensolverError,
     SpectralBasis,
     SpectralCoefficients,
-    _check_fingerprint,
     eigendecompose,
     encode_geometry,
     load_coeff_dir,
-    reconstruct_geometry,
     save_coeff_dir,
 )
 
@@ -130,27 +125,16 @@ def cmd_encode(args) -> int:
 def cmd_descriptor(args) -> int:
     coeffs = SpectralCoefficients.load_csv(args.coeffs)
     if args.tune is not None:
-        basis = SpectralBasis.load(args.basis)
-        t, desc, achieved = tune_threshold(
-            coeffs, basis, args.tune, augment=args.augment, label=args.label
-        )
+        t, desc, achieved = tune_threshold(coeffs, SpectralBasis.load(args.basis),
+                                           args.tune, augment=args.augment,
+                                           label=args.label)
         if args.verbose:
             print(f"tuned t={t:g}, achieved RMS {achieved:g}")
     else:
-        selected, mode = coeffs, "magnitude"
-        if args.baseline is not None:
-            base = SpectralCoefficients.load_csv(args.baseline)
-            selected, mode = _difference(coeffs, base), "baseline_difference"
-        t = args.threshold if args.threshold is not None else statistical_threshold(selected)
-        idx = select_by_threshold(selected, t)
-        desc = complete_descriptor(
-            idx,
-            coeffs,
-            augment=args.augment,
-            threshold=t,
-            selection_mode=mode,
-            label=args.label,
-        )
+        baseline = (None if args.baseline is None
+                    else SpectralCoefficients.load_csv(args.baseline))
+        desc = build_descriptor(coeffs, baseline, args.threshold,
+                                augment=args.augment, label=args.label)
     desc.save(args.out)
     if args.verbose:
         print(f"wrote descriptor: t={desc.threshold:g}, size_M={desc.size_m} -> {args.out}")
@@ -162,27 +146,17 @@ def cmd_reconstruct(args) -> int:
     coeffs = SpectralCoefficients.load_csv(args.coeffs)
     base = load_mesh(args.mesh)
     desc = DeformationDescriptor.load(args.descriptor)
-    _check_fingerprint(desc.basis_fingerprint, coeffs.basis_fingerprint,
-                       "descriptor and coefficients")
-    reference = reconstruct_geometry(basis, coeffs, None)
+    results = compare_reconstructions(basis, coeffs, desc)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for name, subset in (
-        ("descriptor", desc.indices),
-        ("first_m_ordered", np.arange(desc.size_m)),
-    ):
-        coords = reconstruct_geometry(basis, coeffs, subset)
-        save_mesh(
-            os.path.join(args.out, f"recon_{name}.off"),
-            base.with_vertices(coords),
-        )
-        rows.append((name, _rms_error(coords, reference)))
+    for name, (coords, _) in results.items():
+        save_mesh(os.path.join(args.out, f"recon_{name}.off"),
+                  base.with_vertices(coords))
     with open_new(os.path.join(args.out, "errors.csv")) as f:
         f.write("reconstruction,rms_error\n")
-        for name, err in rows:
-            f.write(f"{name},{float(err)!r}\n")
+        for name, (_, err) in results.items():
+            f.write(f"{name},{err!r}\n")
     if args.verbose:
-        for name, err in rows:
+        for name, (_, err) in results.items():
             print(f"{name}: RMS {err:g}")
     return EXIT_OK
 
@@ -262,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--augment", action="store_true",
                    help="always include eigenvector indices 0 and 1")
     s.add_argument("--baseline", default=None,
-                   help="baseline coefficient CSV for difference selection")
+                   help="baseline coefficient CSV for difference selection "
+                        "(not with --tune, which selects by magnitude)")
     group = s.add_mutually_exclusive_group()
     group.add_argument("--threshold", type=float, default=None)
     group.add_argument("--tune", type=float, default=None,
@@ -305,8 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "descriptor" and args.tune is not None and args.basis is None:
-        parser.error("--tune requires --basis")
+    if args.command == "descriptor" and args.tune is not None:
+        if args.basis is None:
+            parser.error("--tune requires --basis")
+        if args.baseline is not None:
+            parser.error("--tune selects by magnitude and takes no --baseline")
     try:
         return args.func(args)
     except EmptySelectionError as e:

@@ -5,6 +5,8 @@ magnitude (or magnitude of difference to an undeformed baseline) exceeds a
 threshold, stored together with the full (ax, ay, az) triple per index.
 Thresholding is applied to absolute values: selection is about contribution
 magnitude, and large negative coefficients matter as much as positive ones.
+``build_descriptor`` makes one; ``compare_reconstructions`` judges it
+against the eigenvalue-ordered truncation of the same size.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ __all__ = [
     "DeformationDescriptor",
     "statistical_threshold",
     "select_by_threshold",
-    "select_by_baseline_difference",
     "complete_descriptor",
+    "build_descriptor",
     "reconstruction_error",
+    "compare_reconstructions",
     "tune_threshold",
 ]
 
@@ -144,24 +147,6 @@ def select_by_threshold(coeffs: SpectralCoefficients, t: float) -> np.ndarray:
     return idx
 
 
-def _difference(
-    deformed: SpectralCoefficients, base: SpectralCoefficients
-) -> SpectralCoefficients:
-    """deformed - base, for coefficients of one basis."""
-    _check_fingerprint(deformed.basis_fingerprint, base.basis_fingerprint,
-                       "deformed and baseline coefficients")
-    return SpectralCoefficients(
-        deformed.values - base.values, deformed.basis_fingerprint
-    )
-
-
-def select_by_baseline_difference(
-    deformed: SpectralCoefficients, base: SpectralCoefficients, t: float
-) -> np.ndarray:
-    """Indices where any axis of (deformed - base) exceeds t in magnitude."""
-    return select_by_threshold(_difference(deformed, base), t)
-
-
 def complete_descriptor(
     indices: np.ndarray,
     coeffs: SpectralCoefficients,
@@ -196,6 +181,34 @@ def complete_descriptor(
     )
 
 
+def build_descriptor(
+    coeffs: SpectralCoefficients,
+    baseline: SpectralCoefficients | None = None,
+    threshold: float | None = None,
+    augment: bool = False,
+    label: str = "",
+) -> DeformationDescriptor:
+    """The descriptor of one shape, with the full triples of ``coeffs``.
+
+    Selects the indices where any axis of ``coeffs``, or of ``coeffs -
+    baseline`` when a baseline of the same basis is given, exceeds
+    ``threshold`` in magnitude. The default threshold is the
+    ``statistical_threshold`` of those selected values.
+    """
+    selected, mode = coeffs, "magnitude"
+    if baseline is not None:
+        _check_fingerprint(coeffs.basis_fingerprint, baseline.basis_fingerprint,
+                           "deformed and baseline coefficients")
+        if baseline.m != coeffs.m:  # an M of 1 would broadcast silently
+            raise ValueError(f"baseline has M={baseline.m}, the shape M={coeffs.m}")
+        selected = SpectralCoefficients(coeffs.values - baseline.values,
+                                        coeffs.basis_fingerprint)
+        mode = "baseline_difference"
+    t = statistical_threshold(selected) if threshold is None else threshold
+    return complete_descriptor(select_by_threshold(selected, t), coeffs, augment=augment,
+                               threshold=t, selection_mode=mode, label=label)
+
+
 def reconstruction_error(
     basis: SpectralBasis,
     coeffs: SpectralCoefficients,
@@ -218,6 +231,29 @@ def reconstruction_error(
 
 def _rms_error(recon: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((recon - reference) ** 2, axis=1))))
+
+
+def compare_reconstructions(
+    basis: SpectralBasis,
+    coeffs: SpectralCoefficients,
+    desc: DeformationDescriptor,
+) -> dict[str, tuple[np.ndarray, float]]:
+    """The descriptor judged against an eigenvalue-ordered truncation.
+
+    Reconstructs the shape from the descriptor's indices (``"descriptor"``)
+    and from the first ``desc.size_m`` indices (``"first_m_ordered"``), each
+    as ``(coordinates, RMS error)`` against the reconstruction from all M
+    coefficients. The descriptor and the coefficients must be of one basis.
+    """
+    _check_fingerprint(desc.basis_fingerprint, coeffs.basis_fingerprint,
+                       "descriptor and coefficients")
+    reference = reconstruct_geometry(basis, coeffs, None)
+    results = {}
+    for name, subset in (("descriptor", desc.indices),
+                         ("first_m_ordered", np.arange(desc.size_m))):
+        coords = reconstruct_geometry(basis, coeffs, subset)
+        results[name] = (coords, _rms_error(coords, reference))
+    return results
 
 
 def tune_threshold(

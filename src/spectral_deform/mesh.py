@@ -24,7 +24,6 @@ __all__ = [
     "write_mesh",
     "load_mesh",
     "save_mesh",
-    "displacement_field",
 ]
 
 class MeshError(ValueError):
@@ -241,17 +240,15 @@ def _not_triangle(k: int, line: str) -> MeshError:
     return MeshError(f"face line {k}: only triangles supported, got {line!r}")
 
 
-def parse_mesh(content: bytes | str, fmt: str) -> TriangleMesh:
+def parse_mesh(content: bytes | str) -> TriangleMesh:
     """Parse OFF file content into a validated TriangleMesh.
 
     Vertex order is preserved exactly as in the file.
     """
-    if fmt.lower() != "off":
-        raise MeshError(f"unknown mesh format {fmt!r}")
     return TriangleMesh(*_parse_off(_lines(content)))
 
 
-def write_mesh(mesh: TriangleMesh, fmt: str) -> str:
+def write_mesh(mesh: TriangleMesh) -> str:
     """Serialize a mesh to OFF text.
 
     Coordinates are written in shortest round-trip form (``repr`` of a
@@ -260,35 +257,32 @@ def write_mesh(mesh: TriangleMesh, fmt: str) -> str:
     """
     if not np.isfinite(mesh.vertices).all():
         raise MeshError("refusing to serialize non-finite vertex coordinates")
-    if fmt.lower() != "off":
-        raise MeshError(f"unknown mesh format {fmt!r}")
     out = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
     out += [f"{a!r} {b!r} {c!r}" for a, b, c in mesh.vertices.tolist()]
     return "\n".join(out) + "\n" + mesh._faces.off
 
 
-def _fmt_from_path(path) -> str:
+def _check_off_path(path) -> None:
     suffix = str(path).rsplit(".", 1)[-1].lower()
     if suffix != "off":
         raise MeshError(f"cannot infer mesh format from extension {suffix!r}")
-    return suffix
 
 
 def load_mesh(path, like: TriangleMesh | None = None) -> TriangleMesh:
-    """Read an OFF file; a parse or validation error is a MeshError naming
-    the file.
+    """Read an OFF file; a path without the ``.off`` extension, a parse error
+    or a validation error is a MeshError naming the file.
 
     With ``like``, the file must hold the vertex count and the triangles of
     that mesh, in the same order, and the result is
     ``like.with_vertices(...)``: it shares those validated triangles, so they
     are not validated again.
     """
-    with open(path, "rb") as f:
-        content = f.read()
     try:
-        fmt = _fmt_from_path(path)
+        _check_off_path(path)
+        with open(path, "rb") as f:
+            content = f.read()
         if like is None:
-            return parse_mesh(content, fmt)
+            return parse_mesh(content)
         verts, triangles = _parse_off(_lines(content))
         if not np.array_equal(triangles, like.triangles):
             raise MeshError("triangles differ from the base mesh's")
@@ -298,17 +292,7 @@ def load_mesh(path, like: TriangleMesh | None = None) -> TriangleMesh:
 
 
 def save_mesh(path, mesh: TriangleMesh) -> None:
-    text = write_mesh(mesh, _fmt_from_path(path))
+    _check_off_path(path)
+    text = write_mesh(mesh)
     with open_new(path) as f:
         f.write(text)
-
-
-def displacement_field(
-    state: DeformedState | np.ndarray, base: TriangleMesh | np.ndarray
-) -> np.ndarray:
-    """Per-vertex Euclidean distance between a deformed state and the base."""
-    c = state.coordinates if isinstance(state, DeformedState) else np.asarray(state)
-    b = base.vertices if isinstance(base, TriangleMesh) else np.asarray(base)
-    if c.shape != b.shape:
-        raise MeshError(f"shape mismatch: state {c.shape} vs base {b.shape}")
-    return np.linalg.norm(c - b, axis=1)

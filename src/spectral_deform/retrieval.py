@@ -22,7 +22,6 @@ from .spectral import SpectralCoefficients, _check_fingerprint
 __all__ = [
     "SimilarityRanking",
     "ClusterAssignment",
-    "cosine_similarity",
     "rank_bundle",
     "filter_bundle",
     "cluster_coefficients",
@@ -87,17 +86,6 @@ def _scores(
     scores = np.zeros(len(stack))
     scores[ok] = dots[ok] / (na * nb[ok])
     return scores
-
-
-def cosine_similarity(
-    descriptor: DeformationDescriptor, coeffs: SpectralCoefficients
-) -> float:
-    """Cosine between descriptor triples and candidate triples at the same indices.
-
-    Returns 0.0 (with a warning) if either flattened vector is degenerate
-    (norm below 1e-14).
-    """
-    return float(_scores(descriptor, *_stack([coeffs]))[0])
 
 
 def rank_bundle(

@@ -199,6 +199,19 @@ class TestDescriptor:
                   "--tune", "1.0", "--out", str(tmp_path / "d.json")])
         assert exc.value.code == 2
 
+    def test_tune_with_baseline_exit_2(self, pipeline, tmp_path, capsys):
+        # --tune selects by magnitude; a baseline it would drop is refused
+        _, _, basis_path, coeffs = pipeline
+        out = tmp_path / "d.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                  "--tune", "1.0", "--basis", basis_path,
+                  "--baseline", os.path.join(coeffs, "base.csv"),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--baseline" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tune_with_infinite_target(self, pipeline, tmp_path):
         _, _, basis_path, coeffs = pipeline
         out = str(tmp_path / "d.json")
@@ -237,15 +250,12 @@ class TestDescriptor:
         extra = [] if threshold is None else ["--threshold", str(threshold)]
         assert main(["descriptor", "--coeffs", shape, "--baseline", base_path,
                      "--augment", "--out", str(out)] + extra) == 0
-        c = sd.SpectralCoefficients.load_csv(shape)
-        base = sd.SpectralCoefficients.load_csv(base_path)
-        t = threshold
-        if t is None:
-            t = sd.statistical_threshold(sd.SpectralCoefficients(c.values - base.values))
-        desc = sd.complete_descriptor(
-            sd.select_by_baseline_difference(c, base, t), c, augment=True,
-            threshold=t, selection_mode="baseline_difference",
+        desc = sd.build_descriptor(
+            sd.SpectralCoefficients.load_csv(shape),
+            sd.SpectralCoefficients.load_csv(base_path),
+            threshold, augment=True,
         )
+        assert desc.selection_mode == "baseline_difference"
         assert out.read_text() == desc.to_json() + "\n"
 
 
@@ -302,7 +312,7 @@ class TestReconstruct:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (sd, spectral, sd.descriptor, sd.cli):
+        for module in (sd, spectral, sd.descriptor):
             monkeypatch.setattr(module, "reconstruct_geometry", counting)
         code, _, _ = self._run(pipeline, tmp_path)
         assert code == 0

@@ -80,30 +80,59 @@ class TestBaselineDifference:
     def test_identical_empty(self):
         c = coeffs_of([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(EmptySelectionError):
-            sd.select_by_baseline_difference(c, c, 0.5)
+            sd.build_descriptor(c, c, 0.5)
 
     def test_translation_selects_only_first_index(self, beam_setup):
         mesh, basis, _, _ = beam_setup
         base_c = sd.encode_geometry(basis, mesh.vertices)
         moved = sd.encode_geometry(basis, mesh.vertices + np.array([0.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(
-            sd.select_by_baseline_difference(moved, base_c, 1e-6), [0]
-        )
+        desc = sd.build_descriptor(moved, base_c, 1e-6)
+        np.testing.assert_array_equal(desc.indices, [0])
+        assert desc.selection_mode == "baseline_difference"
 
     def test_fingerprint_mismatch(self):
         a = coeffs_of([[1, 2, 3]], fp="aaa")
         b = coeffs_of([[1, 2, 3]], fp="bbb")
         with pytest.raises(FingerprintMismatchError):
-            sd.select_by_baseline_difference(a, b, 0.1)
+            sd.build_descriptor(a, b, 0.1)
 
     def test_matches_scan_oracle(self, beam_setup):
         mesh, basis, _, coeffs = beam_setup
         base_c = sd.encode_geometry(basis, mesh.vertices)
         delta = np.abs(coeffs.values - base_c.values)
-        t = float(delta.mean() + delta.std())
-        got = sd.select_by_baseline_difference(coeffs, base_c, t)
+        t = float(delta.ravel().mean() + delta.ravel().std())
+        # the default threshold is the statistical one of the difference
+        desc = sd.build_descriptor(coeffs, base_c)
         expect = np.flatnonzero((delta > t).any(axis=1))
-        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(desc.indices, expect)
+        assert desc.threshold == t
+        np.testing.assert_array_equal(desc.triples, coeffs.values[expect])
+
+    def test_baseline_of_another_m_rejected(self):
+        c = coeffs_of([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError, match="M=1"):
+            sd.build_descriptor(c, coeffs_of([[0, 0, 0]]), 0.5)
+
+
+class TestBuildDescriptor:
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("threshold", [None, 5.0])
+    def test_magnitude_equals_the_three_steps(self, beam_setup, augment, threshold):
+        _, _, _, coeffs = beam_setup
+        t = sd.statistical_threshold(coeffs) if threshold is None else threshold
+        expect = sd.complete_descriptor(
+            sd.select_by_threshold(coeffs, t), coeffs, augment=augment,
+            threshold=t, label="crush",
+        )
+        got = sd.build_descriptor(coeffs, threshold=threshold, augment=augment,
+                                  label="crush")
+        assert got.selection_mode == "magnitude"
+        assert got.to_json() == expect.to_json()
+
+    def test_negative_threshold_rejected(self, beam_setup):
+        _, _, _, coeffs = beam_setup
+        with pytest.raises(ValueError, match=">= 0"):
+            sd.build_descriptor(coeffs, threshold=-1.0)
 
 
 class TestCompletion:
@@ -171,6 +200,29 @@ class TestReconstructionError:
         e_desc = sd.reconstruction_error(basis, coeffs, desc.indices, ref)
         e_ord = sd.reconstruction_error(basis, coeffs, np.arange(desc.size_m), ref)
         assert e_desc <= e_ord + 1e-12
+
+
+class TestCompareReconstructions:
+    def test_equals_reconstruction_error(self, beam_setup):
+        _, basis, _, coeffs = beam_setup
+        desc = sd.build_descriptor(coeffs, augment=True)
+        got = sd.compare_reconstructions(basis, coeffs, desc)
+        ref = sd.reconstruct_geometry(basis, coeffs, None)
+        assert list(got) == ["descriptor", "first_m_ordered"]
+        for name, subset in (("descriptor", desc.indices),
+                             ("first_m_ordered", np.arange(desc.size_m))):
+            coords, err = got[name]
+            np.testing.assert_array_equal(
+                coords, sd.reconstruct_geometry(basis, coeffs, subset)
+            )
+            assert err == sd.reconstruction_error(basis, coeffs, subset, ref)
+        assert got["descriptor"][1] <= got["first_m_ordered"][1] + 1e-12
+
+    def test_descriptor_of_another_basis_rejected(self, beam_setup):
+        _, basis, _, coeffs = beam_setup
+        desc = sd.complete_descriptor([0, 1], coeffs_of(coeffs.values, fp="other"))
+        with pytest.raises(FingerprintMismatchError):
+            sd.compare_reconstructions(basis, coeffs, desc)
 
 
 class TestTuneThreshold:

@@ -56,12 +56,12 @@ def _rank(files, fp_descriptor, fp_coeffs):
         [0, 2], VALUES[[0, 2]], 0.0, basis_fingerprint=fp_descriptor
     )
     coeffs = sd.SpectralCoefficients(VALUES, fp_coeffs)
+    # a one-shape bundle scores as that shape alone
     sd.rank_bundle(desc, [coeffs])
-    sd.cosine_similarity(desc, coeffs)
 
 
 def _baseline(files, fp_deformed, fp_base):
-    sd.select_by_baseline_difference(
+    sd.build_descriptor(
         sd.SpectralCoefficients(VALUES, fp_deformed),
         sd.SpectralCoefficients(VALUES * 0.5, fp_base),
         0.0,

@@ -1,6 +1,7 @@
 """No library module imports a name it never reads, defines a private
 helper that nothing in the package reads, imports scipy when it is
-imported, or validates again triangles that another mesh already holds."""
+imported, or validates again triangles that another mesh already holds; the
+CLI imports no private name of the package."""
 
 import ast
 from pathlib import Path
@@ -119,3 +120,23 @@ def test_no_module_validates_known_triangles_again():
         tree = ast.parse(path.read_text(), str(path))
         found |= {f"{path.name}:{where}" for where in _revalidated_triangles(tree)}
     assert found == set()
+
+
+def _private_package_imports(tree: ast.Module) -> list[str]:
+    """Underscore-prefixed names imported from the package (relative
+    imports, or absolute ones of ``spectral_deform``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "spectral_deform"
+        ):
+            found += [a.name for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return sorted(found)
+
+
+def test_cli_imports_no_private_name():
+    # each stage is one public library call, so the CLI needs no helper
+    # that a library caller could not reach
+    path = SRC / "cli.py"
+    assert _private_package_imports(ast.parse(path.read_text(), str(path))) == []

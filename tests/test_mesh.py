@@ -19,29 +19,29 @@ MIN_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 
 class TestParse:
     def test_minimal_off(self):
-        m = sd.parse_mesh(MIN_OFF, "off")
+        m = sd.parse_mesh(MIN_OFF)
         assert m.n_vertices == 3
         assert m.n_triangles == 1
         np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
 
     def test_bytes_input(self):
-        m = sd.parse_mesh(MIN_OFF.encode(), "off")
+        m = sd.parse_mesh(MIN_OFF.encode())
         assert m.n_vertices == 3
 
     def test_count_mismatch(self):
         bad = "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
         with pytest.raises(MeshError, match="declares"):
-            sd.parse_mesh(bad, "off")
+            sd.parse_mesh(bad)
 
     def test_out_of_range_index(self):
         bad = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n"
         with pytest.raises(MeshError, match="out of range"):
-            sd.parse_mesh(bad, "off")
+            sd.parse_mesh(bad)
 
     def test_non_triangle_face(self):
         bad = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
         with pytest.raises(MeshError, match="triangle"):
-            sd.parse_mesh(bad, "off")
+            sd.parse_mesh(bad)
 
     def test_disconnected_reports_components(self):
         bad = (
@@ -49,86 +49,50 @@ class TestParse:
             "3 0 1 2\n3 3 4 5\n"
         )
         with pytest.raises(MeshError, match="2 components"):
-            sd.parse_mesh(bad, "off")
+            sd.parse_mesh(bad)
 
     def test_degenerate_index_triple(self):
         bad = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n"
         with pytest.raises(MeshError, match="repeat"):
-            sd.parse_mesh(bad, "off")
+            sd.parse_mesh(bad)
 
 
 class TestWrite:
-    @pytest.mark.parametrize("fmt", ["off"])
-    def test_roundtrip_minimal(self, fmt):
-        m = sd.parse_mesh(MIN_OFF, "off")
-        again = sd.parse_mesh(sd.write_mesh(m, fmt), fmt)
-        np.testing.assert_array_equal(m.triangles, again.triangles)
-        np.testing.assert_allclose(again.vertices, m.vertices, rtol=1e-12, atol=0)
+    # through the text, then through a file of that extension
+    @pytest.mark.parametrize("suffix", ["off"])
+    def test_roundtrip_minimal(self, tmp_path, suffix):
+        m = sd.parse_mesh(MIN_OFF)
+        path = tmp_path / f"m.{suffix}"
+        sd.save_mesh(path, m)
+        for again in (sd.parse_mesh(sd.write_mesh(m)), sd.load_mesh(path)):
+            np.testing.assert_array_equal(m.triangles, again.triangles)
+            np.testing.assert_allclose(again.vertices, m.vertices, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("fmt", ["off"])
-    def test_roundtrip_generated_beam(self, small_beam, fmt):
-        again = sd.parse_mesh(sd.write_mesh(small_beam, fmt), fmt)
-        np.testing.assert_array_equal(small_beam.triangles, again.triangles)
-        np.testing.assert_array_equal(small_beam.vertices, again.vertices)
+    @pytest.mark.parametrize("suffix", ["off"])
+    def test_roundtrip_generated_beam(self, tmp_path, small_beam, suffix):
+        path = tmp_path / f"m.{suffix}"
+        sd.save_mesh(path, small_beam)
+        for again in (sd.parse_mesh(sd.write_mesh(small_beam)), sd.load_mesh(path)):
+            np.testing.assert_array_equal(small_beam.triangles, again.triangles)
+            np.testing.assert_array_equal(small_beam.vertices, again.vertices)
 
     def test_nan_refused(self):
-        m = sd.parse_mesh(MIN_OFF, "off")
+        m = sd.parse_mesh(MIN_OFF)
         v = m.vertices.copy()
         v[0, 0] = np.nan
         bad = sd.TriangleMesh.__new__(sd.TriangleMesh)
         object.__setattr__(bad, "vertices", v)
         object.__setattr__(bad, "triangles", m.triangles)
         with pytest.raises(MeshError, match="finite"):
-            sd.write_mesh(bad, "off")
+            sd.write_mesh(bad)
 
     def test_random_coordinates_roundtrip_exact(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal((20, 3)) * 1e3
         tris = [(i, i + 1, i + 2) for i in range(18)]
         m = sd.TriangleMesh(v, np.array(tris))
-        again = sd.parse_mesh(sd.write_mesh(m, "off"), "off")
+        again = sd.parse_mesh(sd.write_mesh(m))
         np.testing.assert_array_equal(m.vertices, again.vertices)
-
-
-class TestDisplacementField:
-    def test_identity(self, small_beam):
-        state = sd.DeformedState(small_beam.vertices)
-        assert sd.displacement_field(state, small_beam).max() == 0.0
-
-    def test_rigid_translation(self, small_beam):
-        state = sd.DeformedState(small_beam.vertices + np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(
-            sd.displacement_field(state, small_beam), 1.0, rtol=1e-12
-        )
-
-    def test_matches_per_vertex_loop(self, small_beam):
-        spec = sd.DeformationSpec("upward_bend", 30.0, 0.4, noise_sigma=0.5)
-        state = sd.apply_deformation(small_beam, spec, seed=11)
-        got = sd.displacement_field(state, small_beam)
-        expected = np.array(
-            [
-                np.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
-                for p, q in zip(state.coordinates, small_beam.vertices)
-            ]
-        )
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-    def test_invariant_under_simultaneous_translation(self, small_beam):
-        spec = sd.DeformationSpec("axial_crush", 20.0, 0.5, noise_sigma=0.2)
-        state = sd.apply_deformation(small_beam, spec, seed=5)
-        shift = np.array([3.0, -2.0, 7.5])
-        a = sd.displacement_field(state, small_beam)
-        b = sd.displacement_field(
-            sd.DeformedState(state.coordinates + shift),
-            sd.TriangleMesh(small_beam.vertices + shift, small_beam.triangles),
-        )
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
-
-    def test_dimension_mismatch(self, small_beam):
-        with pytest.raises(MeshError, match="mismatch"):
-            sd.displacement_field(
-                sd.DeformedState(small_beam.vertices[:-1]), small_beam
-            )
 
 
 def test_save_load_by_extension(tmp_path, small_beam):
@@ -139,10 +103,6 @@ def test_save_load_by_extension(tmp_path, small_beam):
 
 
 def test_obj_rejected(tmp_path, small_beam):
-    with pytest.raises(MeshError, match="unknown mesh format 'obj'"):
-        sd.parse_mesh(MIN_OBJ, "obj")
-    with pytest.raises(MeshError, match="unknown mesh format 'obj'"):
-        sd.write_mesh(small_beam, "obj")
     path = tmp_path / "m.obj"
     with pytest.raises(MeshError, match="cannot infer mesh format"):
         sd.save_mesh(path, small_beam)
@@ -150,6 +110,15 @@ def test_obj_rejected(tmp_path, small_beam):
     path.write_text(MIN_OBJ)
     with pytest.raises(MeshError, match="cannot infer mesh format"):
         sd.load_mesh(path)
+
+
+def test_non_off_path_rejected_before_reading(tmp_path):
+    # the extension is checked first: a missing .obj file is the same
+    # MeshError, not a FileNotFoundError
+    path = tmp_path / "missing.obj"
+    with pytest.raises(MeshError) as exc:
+        sd.load_mesh(path)
+    assert str(exc.value).startswith(f"mesh file {path}: cannot infer mesh format")
 
 
 def test_vertices_immutable(small_beam):
@@ -212,7 +181,7 @@ def test_non_integer_face_token_rejected(face):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="could not convert"):
-            sd.parse_mesh(_off(VERTS, [face]), "off")
+            sd.parse_mesh(_off(VERTS, [face]))
     assert caught == []
 
 
@@ -221,12 +190,12 @@ def test_non_integer_face_token_rejected(face):
 def test_off_parser_edge_cases(name):
     text, error, message = OFF_CASES[name]
     if error is None:
-        m = sd.parse_mesh(text, "off")
-        np.testing.assert_array_equal(m.vertices, sd.parse_mesh(MIN_OFF, "off").vertices)
+        m = sd.parse_mesh(text)
+        np.testing.assert_array_equal(m.vertices, sd.parse_mesh(MIN_OFF).vertices)
         np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
         return
     with pytest.raises(ValueError) as exc:
-        sd.parse_mesh(text, "off")
+        sd.parse_mesh(text)
     assert type(exc.value) is error
     if error is MeshError:
         assert str(exc.value) == message
@@ -236,7 +205,7 @@ def test_off_parser_edge_cases(name):
 
 def test_negative_count_rejected():
     with pytest.raises(MeshError, match="malformed OFF count line: '-1 2 0'"):
-        sd.parse_mesh("OFF\n-1 2 0\n3 0 1 2\n", "off")
+        sd.parse_mesh("OFF\n-1 2 0\n3 0 1 2\n")
 
 
 def _per_scalar_off(mesh):
@@ -263,9 +232,9 @@ def test_write_parse_bit_identical(vertices):
     n = len(vertices)
     fan = np.array([(0, i, i + 1) for i in range(1, n - 1)])
     m = sd.TriangleMesh(vertices, fan)
-    text = sd.write_mesh(m, "off")
+    text = sd.write_mesh(m)
     assert text == _per_scalar_off(m)
-    again = sd.parse_mesh(text, "off")
+    again = sd.parse_mesh(text)
     np.testing.assert_array_equal(again.vertices.view(np.int64), m.vertices.view(np.int64))
     np.testing.assert_array_equal(again.triangles, m.triangles)
 
@@ -307,8 +276,8 @@ def test_mesh_with_base_triangles_as_a_validated_one(vertices):
     and validated from scratch, and reading a file like the base gives the
     vertex bits of a plain read with the base's own triangle array."""
     shared = BEAM.with_vertices(vertices)
-    text = sd.write_mesh(shared, "off")
-    assert text == sd.write_mesh(sd.TriangleMesh(vertices, BEAM.triangles), "off")
+    text = sd.write_mesh(shared)
+    assert text == sd.write_mesh(sd.TriangleMesh(vertices, BEAM.triangles))
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "state.off"
         sd.save_mesh(path, shared)

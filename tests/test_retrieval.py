@@ -15,6 +15,11 @@ def descriptor_of(indices, coeffs, label=""):
     return sd.complete_descriptor(indices, coeffs, threshold=0.0, label=label)
 
 
+def cosine(desc, coeffs):
+    """The score of a one-shape bundle."""
+    return float(sd.rank_bundle(desc, [coeffs]).scores[0])
+
+
 @pytest.fixture
 def simple():
     source = coeffs_of([[1, 0, 0], [0, 2, 0], [0, 0, 0], [3, -1, 2]])
@@ -25,18 +30,18 @@ def simple():
 class TestCosine:
     def test_self_similarity(self, simple):
         source, desc = simple
-        assert sd.cosine_similarity(desc, source) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(desc, source) == pytest.approx(1.0, abs=1e-12)
 
     def test_antipodal(self, simple):
         source, desc = simple
         neg = coeffs_of(-source.values)
-        assert sd.cosine_similarity(desc, neg) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine(desc, neg) == pytest.approx(-1.0, abs=1e-12)
 
     def test_scale_invariance(self, simple):
         source, desc = simple
         scaled = coeffs_of(source.values * 7.3)
-        assert sd.cosine_similarity(desc, scaled) == pytest.approx(
-            sd.cosine_similarity(desc, source), abs=1e-12
+        assert cosine(desc, scaled) == pytest.approx(
+            cosine(desc, source), abs=1e-12
         )
 
     def test_matches_flatten_dot_oracle(self, simple):
@@ -49,19 +54,19 @@ class TestCosine:
             sum(x * y for x, y in zip(a, b))
             / (np.sqrt(sum(x * x for x in a)) * np.sqrt(sum(y * y for y in b)))
         )
-        assert sd.cosine_similarity(desc, cand) == pytest.approx(oracle, abs=1e-12)
+        assert cosine(desc, cand) == pytest.approx(oracle, abs=1e-12)
 
     def test_degenerate_candidate_scores_zero(self, simple):
         _, desc = simple
         zero = coeffs_of(np.zeros((4, 3)))
         with pytest.warns(UserWarning, match="degenerate"):
-            assert sd.cosine_similarity(desc, zero) == 0.0
+            assert cosine(desc, zero) == 0.0
 
     def test_fingerprint_mismatch(self, simple):
         _, desc = simple
         other = coeffs_of(np.ones((4, 3)), fp="other")
         with pytest.raises(FingerprintMismatchError):
-            sd.cosine_similarity(desc, other)
+            cosine(desc, other)
 
 
 class TestRanking:
