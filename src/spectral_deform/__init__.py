@@ -28,6 +28,7 @@ from .spectral import (
     FingerprintMismatchError,
     SpectralBasis,
     SpectralCoefficients,
+    CoefficientStack,
     eigendecompose,
     encode,
     decode,

@@ -23,6 +23,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
 from ._files import open_new
 from .bundle import (
@@ -50,6 +51,7 @@ from .retrieval import (
     write_scatter_data,
 )
 from .spectral import (
+    CoefficientStack,
     EigensolverError,
     SpectralBasis,
     SpectralCoefficients,
@@ -108,11 +110,11 @@ def cmd_encode(args) -> int:
     s = len(bundle.states)
     # first the shapes: save_coeff_dir refuses a directory holding another
     # bundle's shape CSVs before anything is written
-    save_coeff_dir(
-        args.out,
-        [f"{i:03d}" for i in range(s)],
+    stack = CoefficientStack.of(
         [encode_geometry(basis, state.coordinates) for state in bundle.states],
+        [f"{i:03d}" for i in range(s)],
     )
+    save_coeff_dir(args.out, stack)
     encode_geometry(basis, bundle.base.vertices).save_csv(
         os.path.join(args.out, "base.csv")
     )
@@ -163,12 +165,12 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_filter(args) -> int:
     desc = DeformationDescriptor.load(args.descriptor)
-    ids, coeffs = load_coeff_dir(args.coeffs_dir)
-    ranking = rank_bundle(desc, coeffs, ids)
+    stack = load_coeff_dir(args.coeffs_dir)
+    ranking = rank_bundle(desc, stack)
     n = len(ranking.ids)
     if args.top_k is not None or args.min_score is not None:
         # a prefix of the ranking; filter_bundle ranks the bundle again
-        n = len(filter_bundle(desc, coeffs, ids,
+        n = len(filter_bundle(desc, stack,
                               top_k=args.top_k, min_score=args.min_score))
     kept = SimilarityRanking(ranking.ids[:n], ranking.scores[:n], ranking.label)
     write_ranking_csv(args.out, kept)
@@ -178,13 +180,13 @@ def cmd_filter(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ids, coeffs = load_coeff_dir(args.coeffs_dir)
+    stack = load_coeff_dir(args.coeffs_dir)
     assignment = cluster_coefficients(
-        coeffs, args.k, feature=args.feature, m=args.first_m, seed=args.seed
+        stack, args.k, feature=args.feature, m=args.first_m, seed=args.seed
     )
-    write_assignment_csv(args.out, ids, assignment)
+    write_assignment_csv(args.out, stack.ids, assignment)
     if args.scatter:
-        write_scatter_data(args.scatter, coeffs)
+        write_scatter_data(args.scatter, stack)
     if args.verbose:
         print(f"k={args.k} inertia {assignment.inertia:g} -> {args.out}")
     return EXIT_OK
@@ -286,7 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.baseline is not None:
             parser.error("--tune selects by magnitude and takes no --baseline")
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.func(args)
     except EmptySelectionError as e:
         print(f"empty result: {e}", file=sys.stderr)
         return EXIT_EMPTY

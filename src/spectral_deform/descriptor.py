@@ -37,6 +37,8 @@ __all__ = [
     "tune_threshold",
 ]
 
+_TUNE_BISECTIONS = 32
+
 
 class EmptySelectionError(ValueError):
     """Threshold selected no coefficients; decrease the threshold."""
@@ -260,7 +262,6 @@ def tune_threshold(
     coeffs: SpectralCoefficients,
     basis: SpectralBasis,
     target_rms: float,
-    max_iters: int = 32,
     augment: bool = False,
     label: str = "",
 ) -> tuple[float, DeformationDescriptor, float]:
@@ -296,7 +297,7 @@ def tune_threshold(
     if err_hi <= target_rms and idx_hi.size:
         best_t, best_err, best_idx = hi, err_hi, idx_hi
     else:
-        for _ in range(max_iters):
+        for _ in range(_TUNE_BISECTIONS):
             mid = 0.5 * (lo + hi)
             err, idx = evaluate(mid)
             if err <= target_rms and idx.size:

@@ -4,8 +4,8 @@ Similarity between a descriptor and a candidate shape is the cosine of the
 two length-3m vectors formed by flattening the coefficient triples at the
 descriptor's indices only: the descriptor is the feature. Signs are kept,
 so opposite deformation directions (upward vs. downward bend) score
-negatively against each other. A bundle is scored and clustered as one
-(S, M, 3) stack of its coefficients, all from one basis.
+negatively against each other. A bundle is a ``CoefficientStack``, or a
+list of shapes for ``CoefficientStack.of`` to stack with ids 0..S-1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from ._files import open_new
 from .descriptor import DeformationDescriptor
-from .spectral import SpectralCoefficients, _check_fingerprint
+from .spectral import CoefficientStack, _check_fingerprint
 
 __all__ = [
     "SimilarityRanking",
@@ -52,29 +52,19 @@ class ClusterAssignment:
     inertia: float
 
 
-def _stack(bundle_coeffs: list[SpectralCoefficients]) -> tuple[np.ndarray, str]:
-    """A bundle's coefficients as one (S, M, 3) array and its one fingerprint."""
-    if not bundle_coeffs:
-        raise ValueError("bundle is empty")
-    fp = next((c.basis_fingerprint for c in bundle_coeffs if c.basis_fingerprint), "")
-    for k, c in enumerate(bundle_coeffs):
-        _check_fingerprint(fp, c.basis_fingerprint, f"shape {k} and the bundle")
-    return np.stack([c.values for c in bundle_coeffs]), fp
-
-
 def _scores(
-    descriptor: DeformationDescriptor, stack: np.ndarray, fp: str
+    descriptor: DeformationDescriptor, values: np.ndarray, fp: str
 ) -> np.ndarray:
     """Cosine of the descriptor against every shape of a stack, in one contraction."""
     _check_fingerprint(descriptor.basis_fingerprint, fp,
                        "descriptor and candidate coefficients")
-    if descriptor.indices.max() >= stack.shape[1]:
+    if descriptor.indices.max() >= values.shape[1]:
         raise ValueError(
             f"descriptor index {descriptor.indices.max()} out of range for "
-            f"M={stack.shape[1]} coefficients"
+            f"M={values.shape[1]} coefficients"
         )
     a = descriptor.triples.ravel()
-    b = stack[:, descriptor.indices].reshape(len(stack), 1, -1)
+    b = values[:, descriptor.indices].reshape(len(values), 1, -1)
     # a (1, 3m) @ (3m, 1) product per shape is one BLAS dot each, so a score
     # has the bits of scoring its shape alone; b @ a (gemv) differs in the
     # last bits
@@ -83,26 +73,20 @@ def _scores(
     ok = (na >= DEGENERATE_NORM) & (nb >= DEGENERATE_NORM)
     if not ok.all():
         warnings.warn("degenerate coefficient vector: cosine similarity set to 0")
-    scores = np.zeros(len(stack))
+    scores = np.zeros(len(values))
     scores[ok] = dots[ok] / (na * nb[ok])
     return scores
 
 
 def rank_bundle(
-    descriptor: DeformationDescriptor,
-    bundle_coeffs: list[SpectralCoefficients],
-    ids: list | None = None,
+    descriptor: DeformationDescriptor, bundle: CoefficientStack
 ) -> SimilarityRanking:
     """Rank every shape by descending similarity; ties broken by ascending id."""
-    stack, fp = _stack(bundle_coeffs)
-    if ids is None:
-        ids = list(range(len(stack)))
-    if len(ids) != len(stack):
-        raise ValueError("ids and bundle length differ")
-    scores = _scores(descriptor, stack, fp)
-    order = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))
+    stack = CoefficientStack.of(bundle)
+    scores = _scores(descriptor, stack.values, stack.basis_fingerprint)
+    order = sorted(range(len(stack.ids)), key=lambda k: (-scores[k], stack.ids[k]))
     return SimilarityRanking(
-        ids=tuple(ids[k] for k in order),
+        ids=tuple(stack.ids[k] for k in order),
         scores=scores[order],
         label=descriptor.label,
     )
@@ -110,8 +94,7 @@ def rank_bundle(
 
 def filter_bundle(
     descriptor: DeformationDescriptor,
-    bundle_coeffs: list[SpectralCoefficients],
-    ids: list | None = None,
+    bundle: CoefficientStack,
     top_k: int | None = None,
     min_score: float | None = None,
 ) -> list:
@@ -121,7 +104,7 @@ def filter_bundle(
         raise ValueError("specify exactly one of top_k or min_score")
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    ranking = rank_bundle(descriptor, bundle_coeffs, ids)
+    ranking = rank_bundle(descriptor, bundle)
     if top_k is not None:
         if top_k > len(ranking.ids):
             warnings.warn(
@@ -170,7 +153,7 @@ def _lloyd(
 
 
 def cluster_coefficients(
-    bundle_coeffs: list[SpectralCoefficients],
+    bundle: CoefficientStack,
     k: int,
     feature: str = "first_eigenvector_xyz",
     m: int | None = None,
@@ -183,16 +166,16 @@ def cluster_coefficients(
     (the flattened first ``m`` triples). Seeded k-means++ initialization and
     Lloyd iterations until the relative inertia change drops below 1e-6.
     """
-    n = len(bundle_coeffs)
+    values = CoefficientStack.of(bundle).values
+    n = len(values)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= {n} shapes, got k={k}")
-    stack, _ = _stack(bundle_coeffs)
     if feature == "first_eigenvector_xyz":
-        x = stack[:, 0]
+        x = values[:, 0]
     elif feature == "first_m":
         if m is None or m < 1:
             raise ValueError("feature 'first_m' needs m >= 1")
-        x = stack[:, :m].reshape(n, -1)
+        x = values[:, :m].reshape(n, -1)
     else:
         raise ValueError(f"unknown feature {feature!r}")
     if len(np.unique(x, axis=0)) < k:
@@ -217,10 +200,9 @@ def write_assignment_csv(path, ids: list, assignment: ClusterAssignment) -> None
             f.write(f"{i},{c}\n")
 
 
-def write_scatter_data(path, bundle_coeffs: list[SpectralCoefficients]) -> None:
+def write_scatter_data(path, bundle: CoefficientStack) -> None:
     """First-eigenvector xyz coefficients per shape, gnuplot-compatible."""
-    stack, _ = _stack(bundle_coeffs)
     with open_new(path) as f:
         f.write("# alpha_x alpha_y alpha_z\n")
-        for x, y, z in stack[:, 0]:
+        for x, y, z in CoefficientStack.of(bundle).values[:, 0]:
             f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")

@@ -41,6 +41,7 @@ __all__ = [
     "FingerprintMismatchError",
     "SpectralBasis",
     "SpectralCoefficients",
+    "CoefficientStack",
     "eigendecompose",
     "encode",
     "decode",
@@ -136,21 +137,6 @@ class SpectralBasis:
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
-
-    def degenerate_flags(self, rel_gap: float = 1e-8) -> np.ndarray:
-        """Mark eigenvalues whose neighbor gap is below rel_gap * lambda_max.
-
-        Within such a cluster the individual eigenvectors are only defined up
-        to rotation; comparisons stay valid because every shape of a bundle
-        is projected into this one basis.
-        """
-        vals = self.eigenvalues
-        tol = rel_gap * max(abs(vals[-1]), 1.0)
-        gaps = np.diff(vals) < tol
-        flags = np.zeros(self.m, dtype=bool)
-        flags[:-1] |= gaps
-        flags[1:] |= gaps
-        return flags
 
     def save(self, path) -> None:
         """Write the SPBS binary format (f64 LE, eigenvectors column-major)."""
@@ -276,6 +262,40 @@ class SpectralCoefficients:
             raise ValueError(f"coefficient CSV {path}: {e}") from e
 
 
+@dataclass(frozen=True)
+class CoefficientStack:
+    """A bundle's coefficients in one basis; ``ids[k]`` names ``values[k]``."""
+
+    ids: tuple
+    values: np.ndarray  # (S, M, 3): M rows (ax, ay, az) per shape
+    basis_fingerprint: str = ""
+
+    def __post_init__(self):
+        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        if v.ndim != 3 or v.shape[2] != 3 or 0 in v.shape or len(v) != len(self.ids):
+            raise ValueError(f"a stack of {len(self.ids)} ids needs non-empty (S, M, 3) "
+                             f"values with S = {len(self.ids)}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("coefficients must be finite")
+        v.setflags(write=False)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def of(cls, coeffs, ids=None) -> "CoefficientStack":
+        """The stack of a list of shapes of one basis and one M, named ``ids``
+        or 0..S-1; a CoefficientStack is returned as it is."""
+        if isinstance(coeffs, cls):
+            return coeffs
+        ids = range(len(coeffs)) if ids is None else ids
+        fp = next((c.basis_fingerprint for c in coeffs if c.basis_fingerprint), "")
+        for i, c in zip(ids, coeffs):
+            _check_fingerprint(fp, c.basis_fingerprint, f"shape {i} and the bundle")
+            if c.m != coeffs[0].m:
+                raise ValueError(f"shape {i} has M={c.m}, shape {ids[0]} M={coeffs[0].m}")
+        return cls(ids, np.array([c.values for c in coeffs]), fp)
+
+
 def _stack_digest(fields: bytes, paths: list[str], body) -> bytes:
     """SHA-256 of the stack's header fields, of each CSV's name and bytes
     as they are on disk, and of the stack body."""
@@ -291,26 +311,22 @@ def _stack_digest(fields: bytes, paths: list[str], body) -> bytes:
     return h.digest()
 
 
-def save_coeff_dir(directory, ids: list[str], coeffs: list[SpectralCoefficients]) -> None:
+def save_coeff_dir(directory, stack: CoefficientStack) -> None:
     """Write each shape's coefficients to ``<id>.csv``, then the stack file.
 
-    The shapes must share one M >= 1 and one basis fingerprint, empty or a
-    SHA-256 hex digest. The stack holds them in the order ``load_coeff_dir``
-    finds their CSVs, sorted by name.
+    The basis fingerprint must be empty or a SHA-256 hex digest. The stack
+    file holds the shapes in the order ``load_coeff_dir`` finds their CSVs,
+    sorted by name.
 
     Raises ValueError before writing anything if the directory holds a shape
     CSV that this call would not overwrite: ``load_coeff_dir`` would read it
     as one more shape of the bundle.
     """
-    if len(ids) != len(coeffs) or not coeffs:
-        raise ValueError(f"{len(ids)} ids for {len(coeffs)} coefficient sets")
-    m, fp = coeffs[0].m, coeffs[0].basis_fingerprint
-    if {(c.m, c.basis_fingerprint) for c in coeffs} != {(m, fp)} or not m:
-        raise ValueError("a coefficient stack needs one M >= 1 and one fingerprint")
+    fp = stack.basis_fingerprint
     if fp and not re.fullmatch("[0-9a-f]{64}", fp):
         raise ValueError(f"basis fingerprint {fp!r} is not a SHA-256 hex digest")
-    order = sorted(range(len(ids)), key=lambda k: f"{ids[k]}.csv")
-    paths = [os.path.join(directory, f"{ids[k]}.csv") for k in order]
+    order = sorted(range(len(stack.ids)), key=lambda k: f"{stack.ids[k]}.csv")
+    paths = [os.path.join(directory, f"{stack.ids[k]}.csv") for k in order]
     names = {os.path.basename(p) for p in paths}
     for p in _shape_csvs(directory):
         if os.path.basename(p) not in names:
@@ -319,20 +335,20 @@ def save_coeff_dir(directory, ids: list[str], coeffs: list[SpectralCoefficients]
                 "directory or remove it"
             )
     for p, k in zip(paths, order):
-        coeffs[k].save_csv(p)
-    body = np.stack([coeffs[k].values for k in order]).astype("<f8").tobytes()
+        SpectralCoefficients(stack.values[k], fp).save_csv(p)
+    body = stack.values[order].astype("<f8").tobytes()
     fields = struct.pack(_STACK_HEADER, _STACK_MAGIC, _STACK_VERSION,
-                         len(coeffs), m, bytes.fromhex(fp or "00" * 32))
+                         *stack.values.shape[:2], bytes.fromhex(fp or "00" * 32))
     with open_new(os.path.join(directory, _STACK_NAME), binary=True) as f:
         f.write(fields)
         f.write(_stack_digest(fields, paths, body))
         f.write(body)
 
 
-def _read_stack(directory, paths: list[str]) -> list[SpectralCoefficients] | None:
-    """The directory's stack if it still matches the CSVs at ``paths``; None
-    if it cannot be read, is cut, has another magic or version, was written
-    over a different number of CSVs, or its digest differs."""
+def _read_stack(directory, paths: list[str], ids: list[str]) -> CoefficientStack | None:
+    """The directory's stack, named ``ids``, if it matches the CSVs at ``paths``;
+    None if it cannot be read, is cut, has another magic or version, was
+    written over a different number of CSVs, or its digest differs."""
     try:
         with open(os.path.join(directory, _STACK_NAME), "rb") as f:
             data = f.read()
@@ -352,7 +368,7 @@ def _read_stack(directory, paths: list[str]) -> list[SpectralCoefficients] | Non
         return None
     fp_hex = "" if fp == bytes(32) else fp.hex()
     values = np.frombuffer(body, dtype="<f8").reshape(s, m, 3)
-    return [SpectralCoefficients(v, fp_hex) for v in values]
+    return CoefficientStack(ids, values, fp_hex)
 
 
 def _shape_csvs(directory) -> list[str]:
@@ -361,30 +377,25 @@ def _shape_csvs(directory) -> list[str]:
     return [p for p in paths if not os.path.basename(p).startswith("base")]
 
 
-def load_coeff_dir(directory) -> tuple[list[str], list[SpectralCoefficients]]:
-    """The shapes of a coefficient directory: ids and coefficients, sorted by
-    file name, from every ``*.csv`` but those named ``base*``.
+def load_coeff_dir(directory) -> CoefficientStack:
+    """The shapes of a coefficient directory, named and sorted by file name,
+    from every ``*.csv`` but those named ``base*``.
 
     Reads the stack file when it matches the CSVs (see ``_read_stack``), else
     parses each CSV; both give the same bits. Raises FileNotFoundError when
     there is no CSV, and ValueError naming the file for a malformed one or
-    for CSVs of different M.
+    naming the shape for CSVs of different M.
     """
     paths = _shape_csvs(directory)
     if not paths:
         raise FileNotFoundError(f"no coefficient CSVs in {directory}")
     ids = [os.path.splitext(os.path.basename(p))[0] for p in paths]
-    coeffs = _read_stack(directory, paths)
-    if coeffs is None:
-        coeffs = [SpectralCoefficients.load_csv(p) for p in paths]
+    stack = _read_stack(directory, paths, ids)
+    if stack is None:
         # a CSV that does not state M and was cut after whole rows parses;
-        # only its row count shows the cut
-        for p, c in zip(paths, coeffs):
-            if c.m != coeffs[0].m:
-                raise ValueError(
-                    f"{p} has {c.m} coefficient rows, {paths[0]} has {coeffs[0].m}"
-                )
-    return ids, coeffs
+        # only its row count, which ``of`` checks, shows the cut
+        stack = CoefficientStack.of([SpectralCoefficients.load_csv(p) for p in paths], ids)
+    return stack
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -427,15 +438,16 @@ def _banded_eigsh(
     about _BAND_OVERLAP kept eigenvalues again. A band that does not reach
     back to the last kept eigenvalue may have skipped some, so it is solved
     again with sigma moved down. Every band but the last is cut in a spectral
-    gap wider than the degenerate_flags rule, so no degenerate cluster is
-    split between two bands.
+    gap wider than gap_tol, so no degenerate cluster is split between two
+    bands.
     """
     from scipy.sparse.linalg import ArpackError
 
     n = L.shape[0]
     A = L.tocsc()
     scale = max(abs(L.diagonal()).max(), 1.0)
-    # degenerate_flags' gap, with lambda_M bounded by the largest row sum
+    # a cluster within this gap has eigenvectors defined only up to rotation,
+    # harmless as all shapes share one basis; lambda_M <= the largest row sum
     gap_tol = 1e-8 * max(abs(L).sum(axis=1).max(), 1.0)
     rng = np.random.default_rng(seed)
     k = min(_BAND_K, n - 1)

@@ -2,9 +2,11 @@ import ast
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +260,20 @@ class TestDescriptor:
         assert desc.selection_mode == "baseline_difference"
         assert out.read_text() == desc.to_json() + "\n"
 
+    def test_library_warning_printed_without_source_path(self, pipeline, tmp_path, capsys):
+        _, _, _, coeffs = pipeline
+        before = warnings.showwarning
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--threshold", "0", "--out", str(tmp_path / "d.json")]) == 0
+        err = capsys.readouterr().err
+        printed = [line for line in err.splitlines() if line.startswith("warning: ")]
+        assert len(printed) == 1, err
+        assert re.fullmatch(r"warning: descriptor has \d+ indices, .* not compact",
+                            printed[0]), err
+        assert ".py:" not in err
+        # the handler is the stage's only: main restores the one it found
+        assert warnings.showwarning is before
+
 
 class TestReconstruct:
     def test_outputs_and_error_ordering(self, pipeline, tmp_path):
@@ -508,6 +524,55 @@ class TestCoefficientCsv:
         assert "003.csv" in capsys.readouterr().err
 
 
+def _without_m(pipeline, tmp_path):
+    """The pipeline's shape CSVs as written before a CSV stated M: without
+    their ``# m:`` lines, and no stack file."""
+    _, _, _, coeffs = pipeline
+    out = tmp_path / "handmade"
+    out.mkdir()
+    for name in sorted(os.listdir(coeffs)):
+        if name.endswith(".csv"):
+            lines = Path(coeffs, name).read_text().splitlines(keepends=True)
+            (out / name).write_text("".join(x for x in lines if not x.startswith("# m:")))
+    return out
+
+
+class TestCsvsWithoutM:
+    def test_rank_and_cluster_as_the_encoded_ones(self, pipeline, tmp_path):
+        _, _, _, coeffs = pipeline
+        handmade = _without_m(pipeline, tmp_path)
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", str(handmade / "006.csv"),
+                     "--augment", "--out", desc]) == 0
+        outputs = {}
+        for name, d in (("encoded", coeffs), ("handmade", handmade)):
+            out = tmp_path / f"out_{name}"
+            out.mkdir()
+            assert main(["filter", "--descriptor", desc, "--coeffs-dir", str(d),
+                         "--out", str(out / "r.csv")]) == 0
+            assert main(["cluster", "--coeffs-dir", str(d), "-k", "3",
+                         "--out", str(out / "a.csv")]) == 0
+            outputs[name] = [(out / f).read_bytes() for f in ("r.csv", "a.csv")]
+        assert outputs["handmade"] == outputs["encoded"]
+
+    @pytest.mark.parametrize("stage", ["cluster", "filter"])
+    def test_one_cut_after_whole_rows_exit_2(self, stage, pipeline, tmp_path, capsys):
+        handmade = _without_m(pipeline, tmp_path)
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", str(handmade / "006.csv"),
+                     "--out", desc]) == 0
+        target = handmade / "003.csv"
+        target.write_text("\n".join(target.read_text().splitlines()[:-5]) + "\n")
+        capsys.readouterr()
+        args = {
+            "cluster": ["cluster", "--coeffs-dir", str(handmade), "-k", "3"],
+            "filter": ["filter", "--descriptor", desc, "--coeffs-dir", str(handmade)],
+        }[stage]
+        assert main(args + ["--out", str(tmp_path / "o.csv")]) == 2
+        assert "shape 003" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+
 STACK = spectral._STACK_NAME
 # byte offsets into the stack header: magic, version, S, M, fingerprint,
 # digest
@@ -556,25 +621,45 @@ class TestCoefficientStack:
         with monkeypatch.context() as m:
             # the stack is read, not the CSVs
             m.setattr(sd.SpectralCoefficients, "load_csv", None)
-            ids, stacked = sd.load_coeff_dir(coeffs)
-        assert ids == [n[:-4] for n in names]
+            stack = sd.load_coeff_dir(coeffs)
+        assert stack.ids == tuple(n[:-4] for n in names)
         fingerprint = sd.SpectralBasis.load(basis_path).fingerprint
-        for name, c in zip(names, stacked):
+        for name, values in zip(names, stack.values):
             parsed = sd.SpectralCoefficients.load_csv(os.path.join(coeffs, name))
-            np.testing.assert_array_equal(c.values.view(np.int64),
+            np.testing.assert_array_equal(values.view(np.int64),
                                           parsed.values.view(np.int64))
-            assert c.basis_fingerprint == parsed.basis_fingerprint == fingerprint
+            assert stack.basis_fingerprint == parsed.basis_fingerprint == fingerprint
 
     def test_stack_is_read_whatever_order_the_ids_come_in(self, tmp_path, monkeypatch):
         values = np.arange(12.0).reshape(4, 3)
         ids = ["a", "b", "a-b", "0"]  # "a-b.csv" sorts before "a.csv"
-        sd.save_coeff_dir(tmp_path, ids, [
-            sd.SpectralCoefficients(values + k, "ab" * 32) for k in range(len(ids))])
+        sd.save_coeff_dir(tmp_path, sd.CoefficientStack.of(
+            [sd.SpectralCoefficients(values + k, "ab" * 32) for k in range(len(ids))], ids))
         monkeypatch.setattr(sd.SpectralCoefficients, "load_csv", None)
-        read, coeffs = sd.load_coeff_dir(tmp_path)
-        assert read == ["0", "a-b", "a", "b"]
-        for i, c in zip(read, coeffs):
-            np.testing.assert_array_equal(c.values, values + ids.index(i))
+        stack = sd.load_coeff_dir(tmp_path)
+        assert stack.ids == ("0", "a-b", "a", "b")
+        for i, v in zip(stack.ids, stack.values):
+            np.testing.assert_array_equal(v, values + ids.index(i))
+
+    def test_read_and_queried_without_per_shape_objects(self, pipeline, monkeypatch):
+        _, _, _, coeffs = pipeline
+        names = sorted(n for n in os.listdir(coeffs)
+                       if n.endswith(".csv") and n != "base.csv")
+        shapes = [sd.SpectralCoefficients.load_csv(os.path.join(coeffs, n)) for n in names]
+        desc = sd.build_descriptor(shapes[6], augment=True)
+        ranking = sd.rank_bundle(desc, shapes)
+        assignment = sd.cluster_coefficients(shapes, 3, seed=1)
+
+        def refuse(self):
+            raise AssertionError("a per-shape SpectralCoefficients was built")
+
+        monkeypatch.setattr(sd.SpectralCoefficients, "__post_init__", refuse)
+        stack = sd.load_coeff_dir(coeffs)
+        again = sd.rank_bundle(desc, stack)
+        assert again.ids == tuple(names[k][:-4] for k in ranking.ids)
+        np.testing.assert_array_equal(again.scores, ranking.scores)
+        np.testing.assert_array_equal(
+            sd.cluster_coefficients(stack, 3, seed=1).labels, assignment.labels)
 
     def test_stack_identical_run_for_run(self, pipeline, tmp_path):
         _, _, _, coeffs = pipeline

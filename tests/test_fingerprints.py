@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import spectral_deform as sd
-from spectral_deform import retrieval
 from spectral_deform.cli import build_parser
 from spectral_deform.spectral import FingerprintMismatchError
 
@@ -69,7 +68,7 @@ def _baseline(files, fp_deformed, fp_base):
 
 
 def _stack(files, fp_first, fp_second):
-    retrieval._stack([
+    sd.CoefficientStack.of([
         sd.SpectralCoefficients(VALUES, fp_first),
         sd.SpectralCoefficients(VALUES, fp_second),
     ])

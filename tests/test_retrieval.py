@@ -213,7 +213,7 @@ class TestClustering:
 class TestExports:
     def test_ranking_csv(self, tmp_path, simple):
         source, desc = simple
-        ranking = sd.rank_bundle(desc, [source], ids=["s0"])
+        ranking = sd.rank_bundle(desc, sd.CoefficientStack.of([source], ["s0"]))
         path = tmp_path / "r.csv"
         sd.retrieval.write_ranking_csv(path, ranking)
         lines = path.read_text().splitlines()

@@ -30,8 +30,6 @@ class TestEigendecompose:
         np.testing.assert_allclose(basis.eigenvalues, expect, atol=1e-12)
         # interior eigenvalues come in multiplicity-2 pairs
         assert basis.eigenvalues[1] == pytest.approx(basis.eigenvalues[2], rel=1e-12)
-        flags = basis.degenerate_flags()
-        assert flags[1] and flags[2]
 
     def test_constant_nullvector(self, grid_basis):
         _, _, basis = grid_basis
@@ -114,7 +112,7 @@ class TestBandedSolve:
         np.testing.assert_allclose(
             banded.eigenvalues, dense.eigenvalues[:m], rtol=0, atol=1e-10
         )
-        # clusters by the degenerate_flags gap rule; one past M shows
+        # clusters by the banded solve's gap rule; one past M shows
         # whether M itself cuts the last cluster
         vals = dense.eigenvalues
         tol = 1e-8 * max(abs(vals[-1]), 1.0)
@@ -372,3 +370,49 @@ class TestPersistence:
         again = sd.SpectralCoefficients.load_csv(path)
         np.testing.assert_array_equal(again.values, coeffs.values)
         assert again.basis_fingerprint == coeffs.basis_fingerprint
+
+
+class TestCoefficientStack:
+    VALUES = np.arange(24.0).reshape(2, 4, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 4, 2), (0, 4, 3), (2, 0, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(S, M, 3\)"):
+            sd.CoefficientStack(tuple(range(shape[0])), np.zeros(shape))
+
+    def test_ids_must_name_every_shape(self):
+        with pytest.raises(ValueError, match="3 ids"):
+            sd.CoefficientStack(("a", "b", "c"), self.VALUES)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        values = self.VALUES.copy()
+        values[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sd.CoefficientStack((0, 1), values)
+
+    def test_values_read_only(self):
+        stack = sd.CoefficientStack(["a", "b"], self.VALUES.copy())
+        assert stack.ids == ("a", "b")
+        with pytest.raises(ValueError, match="read-only"):
+            stack.values[0, 0, 0] = 1.0
+
+    def test_of_stacks_shapes_with_default_ids(self):
+        # an empty fingerprint is unknown: the stack takes the known one
+        shapes = [sd.SpectralCoefficients(self.VALUES[0], ""),
+                  sd.SpectralCoefficients(self.VALUES[1], "ab" * 32)]
+        stack = sd.CoefficientStack.of(shapes)
+        assert stack.ids == (0, 1)
+        assert stack.basis_fingerprint == "ab" * 32
+        np.testing.assert_array_equal(stack.values, self.VALUES)
+        assert sd.CoefficientStack.of(stack) is stack
+
+    def test_of_names_the_shape_of_another_m(self):
+        shapes = [sd.SpectralCoefficients(np.zeros((4, 3))),
+                  sd.SpectralCoefficients(np.zeros((3, 3)))]
+        with pytest.raises(ValueError, match="shape b has M=3, shape a M=4"):
+            sd.CoefficientStack.of(shapes, ["a", "b"])
+
+    def test_of_rejects_an_empty_bundle(self):
+        with pytest.raises(ValueError, match="empty"):
+            sd.CoefficientStack.of([])
