@@ -58,9 +58,9 @@ DENSE_MAX_N = 2000
 # is faster (calibration table in CHANGES.md)
 DENSE_MIN_SHARE = 0.2
 
-# banded shift-invert Lanczos: eigenpairs per band (64 measured faster than
-# 40 or 100 at M = 500), already-kept eigenvalues each later band is placed
-# to find again, and how many of a band's top gaps are candidates for its cut
+# banded shift-invert Lanczos: eigenpairs per band (with the symmetric-mode LU
+# at M = 500, 64 ties 80 and beats 100 and 128), kept eigenvalues each later
+# band is placed to find again, and how many of a band's top gaps may be its cut
 _BAND_K = 64
 _BAND_OVERLAP = 6
 _BAND_CUT = 4
@@ -93,6 +93,17 @@ class FingerprintMismatchError(ValueError):
     """Coefficients or descriptor were produced against a different basis."""
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only C-contiguous f64 array. A read-only input is taken
+    as it is; a writable one is copied unless converting it made a new array,
+    so the caller's array stays writable and writing to it changes no object."""
+    v = np.ascontiguousarray(a, dtype=np.float64)
+    if v.flags.writeable and np.may_share_memory(v, a):
+        v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """First M eigenpairs of a symmetric mesh operator.
@@ -107,16 +118,13 @@ class SpectralBasis:
     operator_fingerprint: str = ""
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.eigenvalues, dtype=np.float64))
-        vecs = np.ascontiguousarray(np.asarray(self.eigenvectors, dtype=np.float64))
+        vals, vecs = _frozen(self.eigenvalues), _frozen(self.eigenvectors)
         if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != vals.shape[0]:
             raise ValueError(
                 f"inconsistent basis shapes: {vals.shape} values, {vecs.shape} vectors"
             )
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
         h = hashlib.sha256()
@@ -175,13 +183,14 @@ class SpectralBasis:
                 f"SPBS file {path} (N={n}, M={m}) has the wrong length: "
                 f"expected {expected} bytes, got {len(data)}"
             )
-        vals = np.frombuffer(data, dtype="<f8", count=m, offset=head)
+        vals = np.frombuffer(data, dtype="<f8", count=m, offset=head).copy()
+        vals.setflags(write=False)
         vecs = np.frombuffer(data, dtype="<f8", count=n * m, offset=head + 8 * m)
         vecs = vecs.reshape((n, m), order="F")
         fp_hex = fp.hex()
         if fp_hex == "00" * 32:
             fp_hex = ""
-        return cls(vals.copy(), np.ascontiguousarray(vecs), fp_hex)
+        return cls(vals, _frozen(vecs), fp_hex)
 
 
 @dataclass(frozen=True)
@@ -192,12 +201,11 @@ class SpectralCoefficients:
     basis_fingerprint: str = ""
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        v = _frozen(self.values)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError(f"coefficients must be (M, 3), got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("coefficients must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -271,13 +279,12 @@ class CoefficientStack:
     basis_fingerprint: str = ""
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        v = _frozen(self.values)
         if v.ndim != 3 or v.shape[2] != 3 or 0 in v.shape or len(v) != len(self.ids):
             raise ValueError(f"a stack of {len(self.ids)} ids needs non-empty (S, M, 3) "
                              f"values with S = {len(self.ids)}, got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("coefficients must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "values", v)
 
@@ -293,7 +300,7 @@ class CoefficientStack:
             _check_fingerprint(fp, c.basis_fingerprint, f"shape {i} and the bundle")
             if c.m != coeffs[0].m:
                 raise ValueError(f"shape {i} has M={c.m}, shape {ids[0]} M={coeffs[0].m}")
-        return cls(ids, np.array([c.values for c in coeffs]), fp)
+        return cls(ids, _frozen(np.array([c.values for c in coeffs])), fp)
 
 
 def _stack_digest(fields: bytes, paths: list[str], body) -> bytes:
@@ -431,7 +438,9 @@ def _banded_eigsh(
 
     After Vallet & Levy, *Spectral Geometry Processing with Manifold
     Harmonics* (CGF 2008). Each band is one shift-invert Lanczos call: one
-    sparse LU of L - sigma*I and the _BAND_K eigenpairs nearest sigma. The
+    sparse LU of L - sigma*I and the _BAND_K eigenpairs nearest sigma. The LU
+    is SuperLU's symmetric mode (minimum degree on A^T + A, diagonal pivots):
+    half the fill of eigsh's default COLAMD LU, so each solve costs less. The
     first sigma sits just below zero (L is PSD, so L - sigma*I is definite).
     Each later sigma sits above the last kept eigenvalue, placed by the
     spectral density the previous band observed so that the new band finds
@@ -441,10 +450,11 @@ def _banded_eigsh(
     gap wider than gap_tol, so no degenerate cluster is split between two
     bands.
     """
-    from scipy.sparse.linalg import ArpackError
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import LinearOperator, splu
 
     n = L.shape[0]
-    A = L.tocsc()
+    A, eye = L.tocsc(), identity(n, format="csc")
     scale = max(abs(L.diagonal()).max(), 1.0)
     # a cluster within this gap has eigenvectors defined only up to rotation,
     # harmless as all shapes share one basis; lambda_M <= the largest row sum
@@ -458,9 +468,11 @@ def _banded_eigsh(
     while count < m:
         band += 1
         try:
-            vals, vecs = eigsh(A, k=k, sigma=sigma, which="LM",
-                               v0=rng.standard_normal(n))
-        except ArpackError as e:
+            lu = splu(A - sigma * eye, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
+            vals, vecs = eigsh(A, k=k, sigma=sigma, which="LM", v0=rng.standard_normal(n),
+                               OPinv=LinearOperator((n, n), lu.solve))
+        except RuntimeError as e:  # ArpackError, or a singular L - sigma*I
             raise EigensolverError(
                 f"Lanczos band {band} (sigma={sigma:.6g}, {count}/{m} "
                 f"eigenpairs kept before it) failed: {e}"
@@ -526,14 +538,15 @@ def eigendecompose(
     """Compute the m smallest eigenpairs of a sparse symmetric PSD operator.
 
     ``method`` is "dense" (LAPACK on the full matrix), "lanczos" (banded
-    shift-invert Lanczos: one sparse LU and a few dozen eigenpairs per band,
-    start vectors drawn from ``seed`` for reproducibility) or "auto". "auto"
-    takes dense when m >= N - 1, or when N <= DENSE_MAX_N and m is at least
-    DENSE_MIN_SHARE of N; otherwise the banded solve.
+    shift-invert Lanczos: a few dozen eigenpairs per band, each solved with
+    one symmetric-mode minimum-degree sparse LU, about half the fill of
+    COLAMD's; start vectors drawn from ``seed`` for reproducibility) or
+    "auto". "auto" takes dense when m >= N - 1, or when N <= DENSE_MAX_N and
+    m is at least DENSE_MIN_SHARE of N; otherwise the banded solve.
 
     Every solve is verified: an eigenpair residual over 1e-7 * max(1, max|L|)
     or an orthonormality error over 1e-8 raises EigensolverError, as does a
-    Lanczos band that fails to converge.
+    Lanczos band that fails to converge or whose L - sigma*I is singular.
     """
     n = L.shape[0]
     if not (1 <= m <= n):
@@ -551,8 +564,11 @@ def eigendecompose(
     else:
         vals, vecs = _banded_eigsh(L, m, seed)
     _verify(L, vals, vecs)
+    vecs = _fix_signs(vecs)
+    for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
+        a.setflags(write=False)
     # both paths return ascending eigenvalues
-    return SpectralBasis(vals, _fix_signs(vecs), operator_fingerprint)
+    return SpectralBasis(vals, vecs, operator_fingerprint)
 
 
 def _check_fingerprint(a: str, b: str, what: str) -> None:

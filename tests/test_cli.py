@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 
 import spectral_deform as sd
 from spectral_deform import cli, spectral
@@ -119,6 +120,25 @@ class TestDecompose:
         code = main(["decompose", "--bundle", bundle, "--modes", "40",
                      "--out", str(out)])
         assert code == 3
+        assert not out.exists()
+
+    def test_singular_factor_exit_3(self, pipeline, tmp_path, monkeypatch, capsys):
+        real = sla.splu
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("Factor is exactly singular")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "splu", singular)
+        _, bundle, _, _ = pipeline
+        out = tmp_path / "x.spbs"
+        code = main(["decompose", "--bundle", bundle, "--modes", "90",
+                     "--out", str(out)])
+        assert code == 3
+        assert "band 2 " in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 from scipy import linalg as dla
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import spectral_deform as sd
 from spectral_deform import spectral
@@ -90,12 +91,13 @@ class TestEigendecompose:
 
 
 def count_lanczos_bands(monkeypatch) -> list:
-    """Record each shift-invert Lanczos call (one per band)."""
+    """Record the keyword arguments of each shift-invert Lanczos call (one
+    per band)."""
     calls = []
     real = spectral.eigsh
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["sigma"])
+        calls.append(kwargs)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "eigsh", counted)
@@ -133,8 +135,31 @@ class TestBandedSolve:
         bands = count_lanczos_bands(monkeypatch)
         banded = sd.eigendecompose(L, 500, method="lanczos")
         assert len(bands) >= 5
+        # every band solves with the LU it was given, none factors on its own
+        assert all(isinstance(b.get("OPinv"), LinearOperator) for b in bands)
         oracle = dla.eigh(L.toarray(), subset_by_index=[0, 499], eigvals_only=True)
         np.testing.assert_allclose(banded.eigenvalues, oracle, rtol=0, atol=1e-10)
+        # the LU's accuracy margin: 1000x inside criterion 1's 1e-7
+        vecs = banded.eigenvectors
+        residual = abs(L @ vecs - vecs * banded.eigenvalues).max()
+        assert residual <= 1e-10 * max(1.0, abs(L).max())
+
+    def test_every_band_factors_in_symmetric_mode(self, small_beam, monkeypatch):
+        real = sla.splu
+        factored = []
+
+        def recorded(*args, **kwargs):
+            factored.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "splu", recorded)
+        bands = count_lanczos_bands(monkeypatch)
+        sd.eigendecompose(sd.cotangent_laplacian(small_beam), 100, method="lanczos")
+        assert len(factored) == len(bands) >= 2
+        for kwargs in factored:
+            assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+            assert kwargs["diag_pivot_thresh"] == 0
+            assert kwargs["options"] == {"SymmetricMode": True}
 
     def test_whole_spectrum(self, grid_basis):
         # the last band reaches the top of the spectrum
@@ -175,6 +200,21 @@ class TestVerification:
         monkeypatch.setattr(spectral, "eigsh", flaky)
         L = sd.cotangent_laplacian(small_beam)
         with pytest.raises(EigensolverError, match="band 2 "):
+            sd.eigendecompose(L, 100, method="lanczos")
+
+    def test_singular_factor_names_band(self, small_beam, monkeypatch):
+        real = sla.splu
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("Factor is exactly singular")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "splu", singular)
+        L = sd.cotangent_laplacian(small_beam)
+        with pytest.raises(EigensolverError, match="band 2 .*exactly singular"):
             sd.eigendecompose(L, 100, method="lanczos")
 
     def test_perturbed_dense_vector_rejected(self, small_beam, monkeypatch):
@@ -321,6 +361,38 @@ class TestBestMTerm:
         best = min(itertools.combinations(range(8), 2), key=err)
         magnitude_pick = tuple(sorted(np.argsort(-np.abs(coeffs))[:2]))
         assert err(magnitude_pick) == pytest.approx(err(best), rel=1e-12)
+
+
+class TestConstructorsLeaveCallersArraysAlone:
+    """A constructor copies a writable array it would otherwise share, and
+    takes a read-only one as it is."""
+
+    def test_basis(self):
+        vals, vecs = np.array([0.0, 1.0]), np.eye(3)[:2].T.copy()
+        basis = sd.SpectralBasis(vals, vecs)
+        fingerprint = basis.fingerprint
+        assert vals.flags.writeable and vecs.flags.writeable
+        vals[0], vecs[0, 0] = -1.0, 5.0
+        assert basis.eigenvalues[0] == 0.0 and basis.eigenvectors[0, 0] == 1.0
+        assert basis.fingerprint == fingerprint
+        vecs.setflags(write=False)
+        assert sd.SpectralBasis(basis.eigenvalues, vecs).eigenvectors is vecs
+
+    def test_coefficients(self):
+        a = np.zeros((4, 3))
+        coeffs = sd.SpectralCoefficients(a)
+        assert a.flags.writeable
+        a[0, 0] = 1.0
+        assert coeffs.values[0, 0] == 0.0
+        assert sd.SpectralCoefficients(coeffs.values).values is coeffs.values
+
+    def test_stack(self):
+        b = np.zeros((2, 4, 3))
+        stack = sd.CoefficientStack(("a", "b"), b)
+        assert b.flags.writeable
+        b[1, 0, 0] = 1.0
+        assert stack.values[1, 0, 0] == 0.0
+        assert sd.CoefficientStack((0, 1), stack.values).values is stack.values
 
 
 class TestPersistence:
