@@ -147,7 +147,8 @@ class SpectralBasis:
         return self._fingerprint
 
     def save(self, path) -> None:
-        """Write the SPBS binary format (f64 LE, eigenvectors column-major)."""
+        """Write the SPBS binary format (f64 LE, eigenvectors column-major),
+        _BAND_K columns at a time: one (_BAND_K, N) block, no basis copy."""
         header = struct.pack(
             _SPBS_HEADER,
             _SPBS_MAGIC,
@@ -158,39 +159,48 @@ class SpectralBasis:
         )
         with open_new(path, binary=True) as f:
             f.write(header)
-            f.write(self.eigenvalues.astype("<f8").tobytes())
-            f.write(np.asfortranarray(self.eigenvectors).astype("<f8").tobytes("F"))
+            f.write(np.ascontiguousarray(self.eigenvalues, dtype="<f8"))
+            for j in range(0, self.m, _BAND_K):
+                f.write(np.ascontiguousarray(self.eigenvectors[:, j:j + _BAND_K].T,
+                                             dtype="<f8"))
 
     @classmethod
     def load(cls, path) -> "SpectralBasis":
-        """Read a SPBS file; ValueError unless its length matches its header."""
-        with open(path, "rb") as f:
-            data = f.read()
+        """Read a SPBS file; ValueError naming it unless it has the SPBS magic
+        and version and its length, checked before allocating, matches its
+        header. The body is read _BAND_K columns at a time into the basis
+        array itself: loading holds the basis and one (_BAND_K, N) block."""
         head = struct.calcsize(_SPBS_HEADER)
-        if len(data) < head:
-            raise ValueError(
-                f"truncated SPBS file {path}: expected at least {head} bytes "
-                f"for the header, got {len(data)}"
-            )
-        magic, version, n, m, fp = struct.unpack_from(_SPBS_HEADER, data)
-        if magic != _SPBS_MAGIC:
-            raise ValueError(f"not a SPBS file (magic {magic!r})")
-        if version != _SPBS_VERSION:
-            raise ValueError(f"unsupported SPBS version {version}")
-        expected = head + 8 * m * (n + 1)
-        if len(data) != expected:
-            raise ValueError(
-                f"SPBS file {path} (N={n}, M={m}) has the wrong length: "
-                f"expected {expected} bytes, got {len(data)}"
-            )
-        vals = np.frombuffer(data, dtype="<f8", count=m, offset=head).copy()
-        vals.setflags(write=False)
-        vecs = np.frombuffer(data, dtype="<f8", count=n * m, offset=head + 8 * m)
-        vecs = vecs.reshape((n, m), order="F")
-        fp_hex = fp.hex()
-        if fp_hex == "00" * 32:
-            fp_hex = ""
-        return cls(vals, _frozen(vecs), fp_hex)
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size < head:
+                raise ValueError(
+                    f"truncated SPBS file {path}: expected at least {head} bytes "
+                    f"for the header, got {size}"
+                )
+            magic, version, n, m, fp = struct.unpack(_SPBS_HEADER, f.read(head))
+            if magic != _SPBS_MAGIC:
+                raise ValueError(f"{path} is not a SPBS file (magic {magic!r})")
+            if version != _SPBS_VERSION:
+                raise ValueError(f"SPBS file {path} has unsupported version {version}")
+            expected = head + 8 * m * (n + 1)
+            if size != expected:
+                raise ValueError(
+                    f"SPBS file {path} (N={n}, M={m}) has the wrong length: "
+                    f"expected {expected} bytes, got {size}"
+                )
+            vals, vecs = np.empty(m, "<f8"), np.empty((n, m), "<f8")
+            block = np.empty((min(m, _BAND_K), n), "<f8")
+            got = head + f.readinto(vals)
+            for j in range(0, m, _BAND_K):
+                cols = block[:m - j]
+                got += f.readinto(cols)
+                vecs[:, j:j + len(cols)] = cols.T
+        if got != expected:
+            raise ValueError(f"SPBS file {path} changed while it was read")
+        for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
+            a.setflags(write=False)
+        return cls(vals, vecs, "" if fp == bytes(32) else fp.hex())
 
 
 @dataclass(frozen=True)
@@ -405,19 +415,22 @@ def load_coeff_dir(directory) -> CoefficientStack:
     return stack
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive.
+def _fix_signs(vecs: np.ndarray) -> None:
+    """Make the largest-magnitude entry of each column positive, in place.
 
     Ties are resolved by the first entry within 1e-6 of the maximum: on
     symmetric meshes entries come in +-pairs of equal magnitude, and a plain
-    argmax would flip between solvers on rounding noise.
+    argmax would flip between solvers on rounding noise. Works _BAND_K
+    columns at a time, so its temporaries are a few blocks, not the basis.
     """
-    absv = np.abs(vecs)
-    near_max = absv >= (1.0 - 1e-6) * absv.max(axis=0)
-    idx = near_max.argmax(axis=0)  # first near-maximal entry per column
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
+    for j in range(0, vecs.shape[1], _BAND_K):
+        block = vecs[:, j:j + _BAND_K]
+        absv = np.abs(block)
+        near_max = absv >= (1.0 - 1e-6) * absv.max(axis=0)
+        idx = near_max.argmax(axis=0)  # first near-maximal entry per column
+        signs = np.sign(block[idx, np.arange(block.shape[1])])
+        signs[signs == 0] = 1.0
+        block *= signs
 
 
 def eigsh(*args, **kwargs):
@@ -448,7 +461,9 @@ def _banded_eigsh(
     back to the last kept eigenvalue may have skipped some, so it is solved
     again with sigma moved down. Every band but the last is cut in a spectral
     gap wider than gap_tol, so no degenerate cluster is split between two
-    bands.
+    bands. Each band writes the pairs it keeps into the (m,) and (n, m)
+    arrays returned, allocated once, so the solve holds the basis and one
+    band's ARPACK workspace.
     """
     from scipy.sparse import identity
     from scipy.sparse.linalg import LinearOperator, splu
@@ -461,7 +476,7 @@ def _banded_eigsh(
     gap_tol = 1e-8 * max(abs(L).sum(axis=1).max(), 1.0)
     rng = np.random.default_rng(seed)
     k = min(_BAND_K, n - 1)
-    kept_vals, kept_vecs = [], []
+    kept_vals, kept_vecs = np.empty(m), np.empty((n, m))
     count, last = 0, -np.inf
     sigma, step = -1e-3 * scale, 0.0
     band = 0
@@ -478,14 +493,14 @@ def _banded_eigsh(
                 f"eigenpairs kept before it) failed: {e}"
             ) from e
         order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
+        vals = vals[order]
         if count and vals[0] > last + gap_tol:
             step /= 2
             sigma = last + step
             continue
         width = vals[-1] - vals[0]
         new = vals > last + gap_tol
-        vals, vecs = vals[new], vecs[:, new]
+        vals, order = vals[new], order[new]
         if count + len(vals) >= m:
             take = m - count
         else:
@@ -499,13 +514,13 @@ def _banded_eigsh(
                 )
             top = cuts[cuts >= len(gaps) - _BAND_CUT]
             take = 1 + (top[np.argmax(gaps[top])] if top.size else cuts[-1])
-        kept_vals.append(vals[:take])
-        kept_vecs.append(vecs[:, :take])
+        kept_vals[count:count + take] = vals[:take]
+        kept_vecs[:, count:count + take] = vecs[:, order[:take]]
         count += take
         last = vals[take - 1]
         step = width * max(k / 2 - _BAND_OVERLAP, 1.0) / (k - 1)
         sigma = last + step
-    return np.concatenate(kept_vals), np.hstack(kept_vecs)
+    return kept_vals, kept_vecs
 
 
 def _verify(L: sparse.spmatrix, vals: np.ndarray, vecs: np.ndarray) -> None:
@@ -564,7 +579,7 @@ def eigendecompose(
     else:
         vals, vecs = _banded_eigsh(L, m, seed)
     _verify(L, vals, vecs)
-    vecs = _fix_signs(vecs)
+    _fix_signs(vecs)
     for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
         a.setflags(write=False)
     # both paths return ascending eigenvalues

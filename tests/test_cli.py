@@ -895,6 +895,26 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert str(desc) in err and "'entries'" in err
 
+    @pytest.mark.parametrize("offset, patch, message", [
+        (0, b"NOPE", "is not a SPBS file (magic b'NOPE')"),
+        (4, b"\x02", "has unsupported version 2"),
+    ], ids=["magic", "version"])
+    def test_bad_basis_header_exit_2(self, offset, patch, message, pipeline,
+                                     tmp_path, capsys):
+        _, bundle, basis, coeffs = pipeline
+        data = bytearray(Path(basis).read_bytes())
+        data[offset:offset + len(patch)] = patch
+        junk = tmp_path / "junk.spbs"
+        junk.write_bytes(data)
+        code = main(["reconstruct", "--basis", str(junk),
+                     "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--descriptor", str(tmp_path / "d.json"),
+                     "--mesh", os.path.join(bundle, "base.off"),
+                     "--out", str(tmp_path / "recon")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(junk) in err and message in err
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: "not json", "JSONDecodeError"),
         (lambda doc: json.dumps({**doc, "states": dict(enumerate(doc["states"]))}),

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -90,6 +94,17 @@ class TestEigendecompose:
             sd.eigendecompose(L, 0)
 
 
+def traced_peak(f, *args):
+    """f(*args) and the peak bytes it allocated, as tracemalloc sees them
+    (numpy reports its array buffers)."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def count_lanczos_bands(monkeypatch) -> list:
     """Record the keyword arguments of each shift-invert Lanczos call (one
     per band)."""
@@ -133,8 +148,11 @@ class TestBandedSolve:
         L = sd.cotangent_laplacian(sd.generate_hat_beam(sd.BeamParams()))
         assert L.shape[0] == 3050
         bands = count_lanczos_bands(monkeypatch)
-        banded = sd.eigendecompose(L, 500, method="lanczos")
+        banded, peak = traced_peak(sd.eigendecompose, L, 500, "lanczos")
         assert len(bands) >= 5
+        # the basis is held once: its bytes plus one band's ARPACK workspace
+        # (ncv = 2k + 1 vectors of N), no whole-basis temporaries
+        assert peak <= banded.eigenvectors.nbytes + 8 * (8 * banded.n * spectral._BAND_K)
         # every band solves with the LU it was given, none factors on its own
         assert all(isinstance(b.get("OPinv"), LinearOperator) for b in bands)
         oracle = dla.eigh(L.toarray(), subset_by_index=[0, 499], eigvals_only=True)
@@ -395,6 +413,36 @@ class TestConstructorsLeaveCallersArraysAlone:
         assert sd.CoefficientStack((0, 1), stack.values).values is stack.values
 
 
+@pytest.fixture(scope="module")
+def wide_basis():
+    """A basis of the acceptance shape (N=3050, M=500), without a solve."""
+    rng = np.random.default_rng(3050)
+    vecs = rng.standard_normal((3050, 500))
+    return sd.SpectralBasis(np.sort(rng.standard_normal(500)), vecs, "ab" * 32)
+
+
+class TestMemoryBudget:
+    """SPBS save and load hold the basis once: each pass over it allocates
+    blocks of _BAND_K columns, not whole-basis temporaries (the solve's
+    budget is pinned in test_beam_m500_matches_dense_across_bands)."""
+
+    @staticmethod
+    def block_bytes(basis):
+        return 8 * basis.n * spectral._BAND_K
+
+    def test_save_allocates_blocks(self, wide_basis, tmp_path):
+        _, peak = traced_peak(wide_basis.save, tmp_path / "b.spbs")
+        assert peak <= 2 * self.block_bytes(wide_basis)
+
+    def test_load_holds_one_basis(self, wide_basis, tmp_path):
+        basis = wide_basis
+        basis.save(tmp_path / "b.spbs")
+        again, peak = traced_peak(sd.SpectralBasis.load, tmp_path / "b.spbs")
+        assert again.fingerprint == basis.fingerprint
+        whole = basis.eigenvectors.nbytes + basis.eigenvalues.nbytes
+        assert peak <= whole + 2 * self.block_bytes(basis)
+
+
 class TestPersistence:
     def test_spbs_roundtrip(self, grid_basis, tmp_path):
         _, _, basis = grid_basis
@@ -430,6 +478,67 @@ class TestPersistence:
             ValueError, match=rf"expected (at least )?{expected} bytes.* got {len(data)}$"
         ):
             sd.SpectralBasis.load(path)
+
+    def test_spbs_absurd_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.spbs"
+        header = struct.pack("<4sIQQ32s", b"SPBS", 1, 2**31, 2**31, bytes(32))
+        path.write_bytes(header + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{path} .*wrong length.* got 64$"):
+                sd.SpectralBasis.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_spbs_cut_while_read_rejected(self, grid_basis, tmp_path, monkeypatch):
+        # the length checked up front is not trusted for the bytes read
+        _, _, basis = grid_basis
+        path = tmp_path / "b.spbs"
+        basis.save(path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        real, inode = os.fstat, path.stat().st_ino
+
+        def fstat(fd):  # the old length for this file only
+            st = real(fd)
+            return types.SimpleNamespace(st_size=size) if st.st_ino == inode else st
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        with pytest.raises(ValueError, match=f"{path} changed while it was read"):
+            sd.SpectralBasis.load(path)
+
+    @staticmethod
+    def assert_spbs_golden(basis, path):
+        """The file is the header, the values, then the vectors column by
+        column, all f64 LE; loading it gives the same bits back."""
+        basis.save(path)
+        fp = bytes.fromhex(basis.operator_fingerprint or "00" * 32)
+        header = struct.pack("<4sIQQ32s", b"SPBS", 1, basis.n, basis.m, fp)
+        assert path.read_bytes() == (
+            header + basis.eigenvalues.astype("<f8").tobytes()
+            + np.asfortranarray(basis.eigenvectors).astype("<f8").tobytes("F")
+        )
+        again = sd.SpectralBasis.load(path)
+        assert again.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+        assert again.eigenvectors.tobytes() == basis.eigenvectors.tobytes()
+        assert again.fingerprint == basis.fingerprint
+
+    # below, equal to and not a multiple of the 64-column block
+    @pytest.mark.parametrize("m", [20, 64, 70])
+    def test_spbs_bytes(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        vecs = rng.standard_normal((37, m))
+        basis = sd.SpectralBasis(np.sort(rng.standard_normal(m)), vecs, "ab" * 32)
+        self.assert_spbs_golden(basis, tmp_path / "b.spbs")
+
+    def test_spbs_bytes_of_dense_path_basis(self, small_beam, tmp_path):
+        # LAPACK returns F-ordered eigenvectors
+        L = sd.cotangent_laplacian(small_beam)
+        basis = sd.eigendecompose(L, 70, method="dense",
+                                  operator_fingerprint=sd.operator_fingerprint(L))
+        self.assert_spbs_golden(basis, tmp_path / "b.spbs")
 
     def test_coefficients_csv_roundtrip(self, grid_basis, tmp_path):
         mesh, _, basis = grid_basis
