@@ -21,12 +21,12 @@ print(f"base beam: {base.n_vertices} vertices, {base.n_triangles} triangles")
 # crush it off-center, with a little measurement noise
 spec = sd.DeformationSpec("axial_crush", amplitude=20.0, location=0.35,
                           noise_sigma=0.5)
-state = sd.apply_deformation(base, spec, seed=1)
+coords = sd.apply_deformation(base, spec, seed=1)
 
 # spectral basis of the *base* geometry; 60 modes is plenty here
 L = sd.cotangent_laplacian(base)
 basis = sd.eigendecompose(L, 60, operator_fingerprint=sd.operator_fingerprint(L))
-coeffs = sd.encode_geometry(basis, state.coordinates)
+coeffs = sd.encode_geometry(basis, coords)
 
 # pick coefficients more than one standard deviation above the mean magnitude
 t = sd.statistical_threshold(coeffs)

@@ -18,12 +18,13 @@ import spectral_deform as sd
 
 params = sd.BeamParams(axial_segments=24, section_segments=4)
 bundle = sd.generate_bundle(params, n_per_mode=(10, 10, 10), seed=3)
-labels = np.array([s.label for s in bundle.states])
+labels = np.array(bundle.labels)
 print(f"bundle: {len(bundle.states)} states, N = {bundle.base.n_vertices}")
 
 L = sd.cotangent_laplacian(bundle.base)
 basis = sd.eigendecompose(L, 60, operator_fingerprint=sd.operator_fingerprint(L))
-coeffs = [sd.encode_geometry(basis, s.coordinates) for s in bundle.states]
+# bundle.states is one (S, N, 3) array; each row is one shape's coordinates
+coeffs = [sd.encode_geometry(basis, coords) for coords in bundle.states]
 
 # --- similarity filtering -------------------------------------------------
 probe = 25  # one of the axial-crush states

@@ -11,7 +11,6 @@ if _threads:
 from .mesh import (
     MeshError,
     TriangleMesh,
-    DeformedState,
     parse_mesh,
     write_mesh,
     load_mesh,

@@ -1,8 +1,10 @@
-"""The one way the library opens a file for writing."""
+"""The one way the library opens a file for writing and a constructor stores an array."""
 
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 
 def open_new(path, binary: bool = False):
@@ -23,3 +25,15 @@ def open_new(path, binary: bool = False):
     except FileNotFoundError:
         pass
     return open(path, "xb" if binary else "x")
+
+
+def _frozen(a, dtype=np.float64) -> np.ndarray:
+    """``a`` as a read-only C-contiguous array of ``dtype``. A read-only input
+    is taken as it is; a writable one is copied unless converting it made a new
+    array, so the caller's array stays writable and writing to it changes no
+    object. A builder freezes the fresh arrays it hands over, so none is copied."""
+    v = np.ascontiguousarray(a, dtype=dtype)
+    if v.flags.writeable and np.may_share_memory(v, a):
+        v = v.copy()
+    v.setflags(write=False)
+    return v

@@ -16,8 +16,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._files import open_new
-from .mesh import DeformedState, MeshError, TriangleMesh, load_mesh, save_mesh
+from ._files import _frozen, open_new
+from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
 
 __all__ = [
     "BeamParams",
@@ -86,9 +86,24 @@ class DeformationSpec:
 
 @dataclass(frozen=True)
 class SimulationBundle:
+    """Deformed copies of one base mesh in its vertex order: ``states[k]`` of the
+    read-only ``states`` holds the shape that ``manifest["states"][k]`` describes."""
+
     base: TriangleMesh
-    states: list[DeformedState]
+    states: np.ndarray  # (S, N, 3)
     manifest: dict
+
+    def __post_init__(self):
+        states = _frozen(self.states)
+        expected = (len(self.manifest["states"]), *self.base.vertices.shape)
+        if states.shape != expected:
+            raise ValueError(f"states must be (S, N, 3) = {expected}, got {states.shape}")
+        object.__setattr__(self, "states", states)
+
+    @property
+    def labels(self) -> list[str]:
+        """The label of each state, as the manifest records it."""
+        return [entry["label"] for entry in self.manifest["states"]]
 
 
 def _ring_profile(params: BeamParams) -> np.ndarray:
@@ -150,11 +165,10 @@ def generate_hat_beam(params: BeamParams = BeamParams()) -> TriangleMesh:
             v10, v11 = base1 + k, base1 + k1
             tris.append((v00, v01, v11))
             tris.append((v00, v11, v10))
-    return TriangleMesh(verts, np.array(tris, dtype=np.int64))
-
-
-def _section_centroid(params: BeamParams) -> np.ndarray:
-    return _ring_profile(params).mean(axis=0)
+    tris = np.array(tris, dtype=np.int64)
+    for a in (verts, tris):  # fresh, so that the mesh takes them without a copy
+        a.setflags(write=False)
+    return TriangleMesh(verts, tris)
 
 
 def apply_deformation(
@@ -162,8 +176,8 @@ def apply_deformation(
     spec: DeformationSpec,
     seed: int = 0,
     section_centroid: np.ndarray | None = None,
-) -> DeformedState:
-    """Displace the base beam analytically according to ``spec``.
+) -> np.ndarray:
+    """The (N, 3) coordinates of the base beam displaced according to ``spec``.
 
     Bends shift whole cross-sections in z by a Gaussian bump along the axis;
     axial crush shortens the beam symmetrically about its center and adds
@@ -213,12 +227,12 @@ def apply_deformation(
             f"deformation inverts or collapses the beam axis (corr {corr:.2f}); "
             "amplitude is beyond the sane range"
         )
-    return DeformedState(coords, label=spec.mode)
+    return coords
 
 
-def default_noise_sigma(base: TriangleMesh) -> float:
-    """0.5% of the bounding-box diagonal: breaks symmetry, keeps mode identity."""
-    diag = np.linalg.norm(np.ptp(base.vertices, axis=0))
+def default_noise_sigma(params: BeamParams) -> float:
+    """0.5% of the beam's bounding-box diagonal: breaks symmetry, keeps mode identity."""
+    diag = np.linalg.norm([params.length, *np.ptp(_ring_profile(params), axis=0)])
     return 0.005 * diag
 
 
@@ -238,9 +252,8 @@ def generate_bundle(
     """
     if sum(n_per_mode) < 3:
         raise ValueError("need at least 3 states in total")
-    base = generate_hat_beam(params)
     if noise_sigma is None:
-        noise_sigma = default_noise_sigma(base)
+        noise_sigma = default_noise_sigma(params)
     rng = np.random.default_rng(seed)
 
     states = []
@@ -273,16 +286,15 @@ def bundle_from_manifest(manifest: dict) -> SimulationBundle:
         raise ValueError(f"unsupported manifest version {manifest.get('version')}")
     params = BeamParams(**manifest["beam_params"])
     base = generate_hat_beam(params)
-    centroid = _section_centroid(params)
-    states = []
-    for entry in manifest["states"]:
+    centroid = _ring_profile(params).mean(axis=0)
+    states = np.empty((len(manifest["states"]), *base.vertices.shape))
+    for i, entry in enumerate(manifest["states"]):
         entry = dict(entry)
         s = entry.pop("seed")
         entry.pop("label", None)
         spec = DeformationSpec(**entry)
-        states.append(
-            apply_deformation(base, spec, seed=s, section_centroid=centroid)
-        )
+        states[i] = apply_deformation(base, spec, seed=s, section_centroid=centroid)
+    states.setflags(write=False)  # fresh, so that the bundle takes it without a copy
     return SimulationBundle(base=base, states=states, manifest=manifest)
 
 
@@ -298,7 +310,7 @@ def save_bundle(directory, bundle: SimulationBundle) -> None:
     for i, state in enumerate(bundle.states):
         save_mesh(
             os.path.join(directory, "states", f"{i:03d}.off"),
-            bundle.base.with_vertices(state.coordinates),
+            bundle.base.with_vertices(state),
         )
     with open_new(os.path.join(directory, "manifest.json")) as f:
         json.dump(bundle.manifest, f, indent=2, sort_keys=True)
@@ -323,12 +335,12 @@ def load_bundle(directory) -> SimulationBundle:
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ValueError(f"bundle manifest {path}: {type(e).__name__}: {e}") from e
     base = load_mesh(os.path.join(directory, "base.off"))
-    states = []
-    for i, label in enumerate(labels):
+    states = np.empty((len(labels), *base.vertices.shape))
+    for i in range(len(labels)):
         try:
-            mesh = load_mesh(os.path.join(directory, "states", f"{i:03d}.off"),
-                             like=base)
+            states[i] = load_mesh(os.path.join(directory, "states", f"{i:03d}.off"),
+                                  like=base).vertices
         except MeshError as e:
             raise MeshError(f"state {i}: {e}") from e
-        states.append(DeformedState(mesh.vertices, label=label))
+    states.setflags(write=False)  # fresh, so that the bundle takes it without a copy
     return SimulationBundle(base=base, states=states, manifest=manifest)

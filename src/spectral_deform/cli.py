@@ -111,7 +111,7 @@ def cmd_encode(args) -> int:
     # first the shapes: save_coeff_dir refuses a directory holding another
     # bundle's shape CSVs before anything is written
     stack = CoefficientStack.of(
-        [encode_geometry(basis, state.coordinates) for state in bundle.states],
+        [encode_geometry(basis, state) for state in bundle.states],
         [f"{i:03d}" for i in range(s)],
     )
     save_coeff_dir(args.out, stack)

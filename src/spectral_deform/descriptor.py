@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import open_new
+from ._files import _frozen, open_new
 from .spectral import (
     SpectralBasis,
     SpectralCoefficients,
@@ -60,8 +60,7 @@ class DeformationDescriptor:
     label: str = ""
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.int64))
-        tri = np.ascontiguousarray(np.asarray(self.triples, dtype=np.float64))
+        idx, tri = _frozen(self.indices, np.int64), _frozen(self.triples)
         if idx.ndim != 1 or tri.shape != (idx.shape[0], 3):
             raise ValueError(
                 f"inconsistent descriptor shapes: {idx.shape} indices, {tri.shape} triples"
@@ -72,8 +71,6 @@ class DeformationDescriptor:
             raise ValueError("descriptor indices must be strictly increasing")
         if self.selection_mode not in ("magnitude", "baseline_difference"):
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
-        idx.setflags(write=False)
-        tri.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "triples", tri)
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import open_new
+from ._files import _frozen, open_new
 
 __all__ = [
     "MeshError",
     "TriangleMesh",
-    "DeformedState",
     "parse_mesh",
     "write_mesh",
     "load_mesh",
@@ -50,8 +49,7 @@ class TriangleMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
+        v, t = _frozen(self.vertices), _frozen(self.triangles, np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshError(f"vertices must be (N, 3), got {v.shape}")
         if t.ndim != 2 or t.shape[1] != 3:
@@ -71,8 +69,6 @@ class TriangleMesh:
         n_comp = _component_count(v.shape[0], t)
         if n_comp != 1:
             raise MeshError(f"mesh is disconnected ({n_comp} components)")
-        v.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         object.__setattr__(self, "_faces", _Faces(t))
@@ -85,10 +81,9 @@ class TriangleMesh:
         mesh shares the triangle array, and the OFF face section is formatted
         once for all meshes that share it.
         """
-        v = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
+        v = _frozen(coords)
         if v.shape != self.vertices.shape:
             raise MeshError(f"expected {self.vertices.shape} vertices, got {v.shape}")
-        v.setflags(write=False)
         mesh = object.__new__(TriangleMesh)
         object.__setattr__(mesh, "vertices", v)
         object.__setattr__(mesh, "triangles", self.triangles)
@@ -109,21 +104,6 @@ class TriangleMesh:
         e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         e.sort(axis=1)
         return np.unique(e, axis=0)
-
-
-@dataclass(frozen=True)
-class DeformedState:
-    """One deformed copy of a base mesh: same connectivity, new coordinates."""
-
-    coordinates: np.ndarray
-    label: str | None = None
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coordinates, dtype=np.float64))
-        if c.ndim != 2 or c.shape[1] != 3:
-            raise MeshError(f"coordinates must be (N, 3), got {c.shape}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coordinates", c)
 
 
 class _Faces:
@@ -217,6 +197,7 @@ def _parse_off(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     not_tri = np.flatnonzero(faces[:, 0] != 3)
     if not_tri.size:
         raise _not_triangle(int(not_tri[0]), flines[not_tri[0]])
+    verts.setflags(write=False)  # fresh, so that a mesh takes it without a copy
     return verts, faces[:, 1:]
 
 

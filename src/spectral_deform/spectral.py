@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._files import open_new
+from ._files import _frozen, open_new
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -91,17 +91,6 @@ class EigensolverError(RuntimeError):
 
 class FingerprintMismatchError(ValueError):
     """Coefficients or descriptor were produced against a different basis."""
-
-
-def _frozen(a) -> np.ndarray:
-    """``a`` as a read-only C-contiguous f64 array. A read-only input is taken
-    as it is; a writable one is copied unless converting it made a new array,
-    so the caller's array stays writable and writing to it changes no object."""
-    v = np.ascontiguousarray(a, dtype=np.float64)
-    if v.flags.writeable and np.may_share_memory(v, a):
-        v = v.copy()
-    v.setflags(write=False)
-    return v
 
 
 @dataclass(frozen=True)
@@ -310,7 +299,9 @@ class CoefficientStack:
             _check_fingerprint(fp, c.basis_fingerprint, f"shape {i} and the bundle")
             if c.m != coeffs[0].m:
                 raise ValueError(f"shape {i} has M={c.m}, shape {ids[0]} M={coeffs[0].m}")
-        return cls(ids, _frozen(np.array([c.values for c in coeffs])), fp)
+        values = np.array([c.values for c in coeffs])
+        values.setflags(write=False)  # fresh, so that the stack needs no copy
+        return cls(ids, values, fp)
 
 
 def _stack_digest(fields: bytes, paths: list[str], body) -> bytes:
@@ -575,7 +566,9 @@ def eigendecompose(
     if method == "dense":
         from scipy import linalg
 
-        vals, vecs = linalg.eigh(np.asarray(L.todense()), subset_by_index=[0, m - 1])
+        # F-ordered and overwritten, so LAPACK works in the operator's one copy
+        vals, vecs = linalg.eigh(L.toarray(order="F"), subset_by_index=[0, m - 1],
+                                 overwrite_a=True)
     else:
         vals, vecs = _banded_eigsh(L, m, seed)
     _verify(L, vals, vecs)

@@ -38,6 +38,5 @@ def acceptance_bundle():
     basis = sd.eigendecompose(
         L, 500, operator_fingerprint=sd.operator_fingerprint(L)
     )
-    coeffs = [sd.encode_geometry(basis, s.coordinates) for s in bundle.states]
-    labels = [s.label for s in bundle.states]
-    return bundle, basis, coeffs, labels
+    coeffs = [sd.encode_geometry(basis, s) for s in bundle.states]
+    return bundle, basis, coeffs, bundle.labels

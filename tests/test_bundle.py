@@ -42,8 +42,8 @@ class TestHatBeam:
 class TestApplyDeformation:
     def test_identity_when_zero(self, small_beam):
         spec = sd.DeformationSpec("upward_bend", 0.0, 0.5, noise_sigma=0.0)
-        state = sd.apply_deformation(small_beam, spec)
-        np.testing.assert_array_equal(state.coordinates, small_beam.vertices)
+        coords = sd.apply_deformation(small_beam, spec)
+        np.testing.assert_array_equal(coords, small_beam.vertices)
 
     def test_up_down_negated(self, small_beam):
         up = sd.apply_deformation(
@@ -53,11 +53,11 @@ class TestApplyDeformation:
             small_beam, sd.DeformationSpec("downward_bend", 25.0, 0.4, noise_sigma=0.0)
         )
         np.testing.assert_allclose(
-            up.coordinates[:, 2] - small_beam.vertices[:, 2],
-            -(down.coordinates[:, 2] - small_beam.vertices[:, 2]),
+            up[:, 2] - small_beam.vertices[:, 2],
+            -(down[:, 2] - small_beam.vertices[:, 2]),
             atol=1e-12,
         )
-        np.testing.assert_array_equal(up.coordinates[:, :2], down.coordinates[:, :2])
+        np.testing.assert_array_equal(up[:, :2], down[:, :2])
 
     def test_crush_location_mirror(self, small_beam):
         a = sd.apply_deformation(
@@ -67,13 +67,13 @@ class TestApplyDeformation:
             small_beam, sd.DeformationSpec("axial_crush", 20.0, 0.7, noise_sigma=0.0)
         )
         ring = 20  # section_segments=4 profile
-        fa = np.linalg.norm(a.coordinates - small_beam.vertices, axis=1).reshape(-1, ring)
-        fb = np.linalg.norm(b.coordinates - small_beam.vertices, axis=1).reshape(-1, ring)
+        fa = np.linalg.norm(a - small_beam.vertices, axis=1).reshape(-1, ring)
+        fb = np.linalg.norm(b - small_beam.vertices, axis=1).reshape(-1, ring)
         np.testing.assert_allclose(fa, fb[::-1], atol=1e-9)
 
     def test_bend_near_isometric_at_default_amplitude(self, small_beam):
         amp = sd.bundle.MODE_DEFAULT_AMPLITUDE["upward_bend"]
-        state = sd.apply_deformation(
+        coords = sd.apply_deformation(
             small_beam, sd.DeformationSpec("upward_bend", amp, 0.5, noise_sigma=0.0)
         )
         e = small_beam.edges()
@@ -81,7 +81,7 @@ class TestApplyDeformation:
             small_beam.vertices[e[:, 0]] - small_beam.vertices[e[:, 1]], axis=1
         )
         l1 = np.linalg.norm(
-            state.coordinates[e[:, 0]] - state.coordinates[e[:, 1]], axis=1
+            coords[e[:, 0]] - coords[e[:, 1]], axis=1
         )
         assert np.mean(np.abs(l1 - l0) / l0) <= 0.02
 
@@ -107,7 +107,7 @@ class TestGenerateBundle:
     def test_three_modes_distinguishable_by_field_correlation(self):
         bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=0, noise_sigma=0.0)
         fields = [
-            np.linalg.norm(s.coordinates - bundle.base.vertices, axis=1)
+            np.linalg.norm(s - bundle.base.vertices, axis=1)
             for s in bundle.states
         ]
         corr = np.corrcoef(np.array(fields))
@@ -119,27 +119,41 @@ class TestGenerateBundle:
         a = sd.generate_bundle(SMALL_BEAM, (2, 2, 2), seed=42)
         b = sd.generate_bundle(SMALL_BEAM, (2, 2, 2), seed=42)
         assert a.manifest == b.manifest
-        for sa, sb in zip(a.states, b.states):
-            np.testing.assert_array_equal(sa.coordinates, sb.coordinates)
+        np.testing.assert_array_equal(a.states, b.states)
 
     def test_label_partition(self):
         bundle = sd.generate_bundle(SMALL_BEAM, (4, 3, 3), seed=1)
-        labels = [s.label for s in bundle.states]
-        assert labels == (
+        assert bundle.labels == (
             ["upward_bend"] * 4 + ["downward_bend"] * 3 + ["axial_crush"] * 3
         )
 
     def test_states_share_base_size(self):
         bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=2)
-        for s in bundle.states:
-            assert s.coordinates.shape == bundle.base.vertices.shape
+        assert bundle.states.shape == (3, *bundle.base.vertices.shape)
+        assert bundle.states.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.states[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(2, 500, 3), (4, 500, 3), (3, 499, 3),
+                                       (3, 500, 2), (500, 3)])
+    def test_states_of_another_shape_rejected(self, shape):
+        bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=2)
+        with pytest.raises(ValueError, match=r"\(S, N, 3\) = \(3, 500, 3\)"):
+            sd.SimulationBundle(bundle.base, np.zeros(shape), bundle.manifest)
+
+    @pytest.mark.parametrize("axial, section", [(60, 12), (200, 12), (24, 4), (30, 8)])
+    def test_default_noise_sigma_is_half_a_percent_of_the_beam_diagonal(self, axial,
+                                                                        section):
+        # worked out from the parameters, bit for bit the mesh's own diagonal
+        params = sd.BeamParams(axial_segments=axial, section_segments=section)
+        diag = np.linalg.norm(np.ptp(sd.generate_hat_beam(params).vertices, axis=0))
+        assert sd.bundle.default_noise_sigma(params) == 0.005 * diag
 
     def test_manifest_roundtrip_bitwise(self):
         bundle = sd.generate_bundle(SMALL_BEAM, (2, 1, 2), seed=3)
         again = sd.bundle_from_manifest(bundle.manifest)
         np.testing.assert_array_equal(again.base.vertices, bundle.base.vertices)
-        for sa, sb in zip(again.states, bundle.states):
-            np.testing.assert_array_equal(sa.coordinates, sb.coordinates)
+        np.testing.assert_array_equal(again.states, bundle.states)
 
 
 class TestDiskFormat:
@@ -149,13 +163,11 @@ class TestDiskFormat:
         assert (tmp_path / "b" / "base.off").exists()
         assert (tmp_path / "b" / "states" / "002.off").exists()
         loaded = sd.load_bundle(tmp_path / "b")
-        assert [s.label for s in loaded.states] == [s.label for s in bundle.states]
+        assert loaded.labels == bundle.labels
         np.testing.assert_array_equal(
             loaded.base.vertices, bundle.base.vertices
         )
-        np.testing.assert_array_equal(
-            loaded.states[1].coordinates, bundle.states[1].coordinates
-        )
+        np.testing.assert_array_equal(loaded.states, bundle.states)
 
     def test_manifest_schema(self, tmp_path):
         bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=5)

@@ -819,7 +819,7 @@ class TestStateConnectivity:
 
     def test_only_base_meshes_are_validated(self, pipeline, tmp_path, monkeypatch):
         """States take the base's validated triangles: generate validates
-        its two base builds, encode the base it reads, and no state."""
+        its one base build, encode the base it reads, and no state."""
         _, _, basis, _ = pipeline
         validated = []
         post_init = sd.TriangleMesh.__post_init__
@@ -831,10 +831,10 @@ class TestStateConnectivity:
         monkeypatch.setattr(sd.TriangleMesh, "__post_init__", counting)
         bundle = str(tmp_path / "bundle")
         assert main(GEN + ["--out", bundle]) == 0
-        assert len(validated) == 2
+        assert len(validated) == 1
         assert main(["encode", "--bundle", bundle, "--basis", basis,
                      "--out", str(tmp_path / "coeffs")]) == 0
-        assert len(validated) == 3
+        assert len(validated) == 2
 
 
 class TestInputFiles:

@@ -19,9 +19,9 @@ def beam_setup(small_beam):
     L = sd.cotangent_laplacian(small_beam)
     basis = sd.eigendecompose(L, 60, operator_fingerprint=sd.operator_fingerprint(L))
     spec = sd.DeformationSpec("axial_crush", 20.0, 0.45, noise_sigma=0.3)
-    state = sd.apply_deformation(small_beam, spec, seed=9)
-    coeffs = sd.encode_geometry(basis, state.coordinates)
-    return small_beam, basis, state, coeffs
+    coords = sd.apply_deformation(small_beam, spec, seed=9)
+    coeffs = sd.encode_geometry(basis, coords)
+    return small_beam, basis, coords, coeffs
 
 
 class TestStatisticalThreshold:
@@ -178,20 +178,20 @@ class TestCompletion:
 
 class TestReconstructionError:
     def test_full_subset_near_zero(self, beam_setup):
-        _, basis, state, coeffs = beam_setup
+        _, basis, _, coeffs = beam_setup
         ref = sd.reconstruct_geometry(basis, coeffs, None)
         err = sd.reconstruction_error(basis, coeffs, np.arange(basis.m), ref)
         assert err <= 1e-10
 
     def test_empty_subset_is_reference_norm(self, beam_setup):
-        _, basis, state, coeffs = beam_setup
+        _, basis, _, coeffs = beam_setup
         ref = sd.reconstruct_geometry(basis, coeffs, None)
         err = sd.reconstruction_error(basis, coeffs, [], ref)
         expect = np.sqrt(np.mean(np.sum(ref**2, axis=1)))
         assert err == pytest.approx(expect, rel=1e-12)
 
     def test_descriptor_beats_eigenvalue_order(self, beam_setup):
-        _, basis, state, coeffs = beam_setup
+        _, basis, _, coeffs = beam_setup
         t = sd.statistical_threshold(coeffs)
         desc = sd.complete_descriptor(
             sd.select_by_threshold(coeffs, t), coeffs, augment=True, threshold=t

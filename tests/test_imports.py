@@ -1,7 +1,8 @@
 """No library module imports a name it never reads, defines a private
 helper that nothing in the package reads, imports scipy when it is
-imported, or validates again triangles that another mesh already holds; the
-CLI imports no private name of the package."""
+imported, validates again triangles that another mesh already holds, or
+freezes a constructor's array by hand; the CLI imports no private name of
+the package."""
 
 import ast
 from pathlib import Path
@@ -140,3 +141,31 @@ def test_cli_imports_no_private_name():
     # that a library caller could not reach
     path = SRC / "cli.py"
     assert _private_package_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def _hand_frozen(tree: ast.Module) -> list[str]:
+    """``Class.__post_init__:function`` for each ``ascontiguousarray`` or
+    ``setflags`` call inside a ``__post_init__``."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                found += [f"{cls.name}.__post_init__:{node.func.attr}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute)
+                          and node.func.attr in ("ascontiguousarray", "setflags")]
+    return found
+
+
+def test_every_constructor_stores_its_arrays_through_frozen():
+    # one ownership rule: a constructor copies a writable array it would
+    # share and never makes its caller's array read-only (_files._frozen)
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        calls = _hand_frozen(ast.parse(path.read_text(), str(path)))
+        if calls:
+            found[path.name] = calls
+    assert found == {}

@@ -15,7 +15,7 @@ import spectral_deform as sd
 from spectral_deform import spectral
 from spectral_deform.spectral import EigensolverError, FingerprintMismatchError
 
-from conftest import grid_mesh
+from conftest import SMALL_BEAM, grid_mesh
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +412,43 @@ class TestConstructorsLeaveCallersArraysAlone:
         assert stack.values[1, 0, 0] == 0.0
         assert sd.CoefficientStack((0, 1), stack.values).values is stack.values
 
+    def test_mesh(self, small_beam):
+        v, t = small_beam.vertices.copy(), small_beam.triangles.copy()
+        mesh = sd.TriangleMesh(v, t)
+        assert v.flags.writeable and t.flags.writeable
+        v[0, 0], t[0, 0] = -1.0, t[0, 1]
+        assert mesh.vertices[0, 0] == small_beam.vertices[0, 0]
+        assert mesh.triangles[0, 0] == small_beam.triangles[0, 0]
+        again = sd.TriangleMesh(mesh.vertices, mesh.triangles)
+        assert again.vertices is mesh.vertices and again.triangles is mesh.triangles
+
+    def test_with_vertices(self, small_beam):
+        v = small_beam.vertices.copy()
+        mesh = small_beam.with_vertices(v)
+        assert v.flags.writeable
+        v[0, 0] = -1.0
+        assert mesh.vertices[0, 0] == small_beam.vertices[0, 0]
+        assert small_beam.with_vertices(mesh.vertices).vertices is mesh.vertices
+
+    def test_descriptor(self):
+        idx, tri = np.array([0, 2]), np.ones((2, 3))
+        desc = sd.DeformationDescriptor(idx, tri, 0.5)
+        assert idx.flags.writeable and tri.flags.writeable
+        idx[0], tri[0, 0] = 1, 5.0
+        assert desc.indices[0] == 0 and desc.triples[0, 0] == 1.0
+        again = sd.DeformationDescriptor(desc.indices, desc.triples, 0.5)
+        assert again.indices is desc.indices and again.triples is desc.triples
+
+    def test_bundle_states(self):
+        bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=2)
+        states = bundle.states.copy()
+        copy = sd.SimulationBundle(bundle.base, states, bundle.manifest)
+        assert states.flags.writeable
+        states[0, 0, 0] = -1.0
+        assert copy.states[0, 0, 0] == bundle.states[0, 0, 0]
+        again = sd.SimulationBundle(bundle.base, bundle.states, bundle.manifest)
+        assert again.states is bundle.states
+
 
 @pytest.fixture(scope="module")
 def wide_basis():
@@ -423,8 +460,9 @@ def wide_basis():
 
 class TestMemoryBudget:
     """SPBS save and load hold the basis once: each pass over it allocates
-    blocks of _BAND_K columns, not whole-basis temporaries (the solve's
-    budget is pinned in test_beam_m500_matches_dense_across_bands)."""
+    blocks of _BAND_K columns, not whole-basis temporaries (the Lanczos
+    solve's budget is pinned in test_beam_m500_matches_dense_across_bands).
+    The dense solve holds its N x N operator once."""
 
     @staticmethod
     def block_bytes(basis):
@@ -441,6 +479,13 @@ class TestMemoryBudget:
         assert again.fingerprint == basis.fingerprint
         whole = basis.eigenvectors.nbytes + basis.eigenvalues.nbytes
         assert peak <= whole + 2 * self.block_bytes(basis)
+
+    def test_dense_holds_the_operator_once(self, small_beam):
+        # the operator's 8 N^2 bytes, the F-ordered basis LAPACK returns and
+        # the basis's C-ordered copy of it; LAPACK works in the operator
+        L = sd.cotangent_laplacian(small_beam)
+        basis, peak = traced_peak(sd.eigendecompose, L, 200, "dense")
+        assert peak <= 8 * basis.n ** 2 + 2 * basis.eigenvectors.nbytes
 
 
 class TestPersistence:
