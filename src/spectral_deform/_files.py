@@ -1,8 +1,11 @@
-"""The one way the library opens a file for writing and a constructor stores an array."""
+"""The one way the library opens a file for writing, and the one way a
+constructor stores an array or a basis fingerprint: empty when unknown, else
+a SHA-256 hex digest, so no file carries a malformed one (``_fingerprint``)."""
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -37,3 +40,11 @@ def _frozen(a, dtype=np.float64) -> np.ndarray:
         v = v.copy()
     v.setflags(write=False)
     return v
+
+
+def _fingerprint(fp) -> str:
+    """``fp`` if it is a ``str`` that is empty or a SHA-256 hex digest (64
+    lowercase hex digits); else ValueError."""
+    if not isinstance(fp, str) or (fp and not re.fullmatch("[0-9a-f]{64}", fp)):
+        raise ValueError(f"fingerprint {fp!r} is neither empty nor a SHA-256 hex digest")
+    return fp

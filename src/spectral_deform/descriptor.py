@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import _frozen, open_new
+from ._files import _fingerprint, _frozen, open_new
 from .spectral import (
     SpectralBasis,
     SpectralCoefficients,
@@ -73,6 +73,7 @@ class DeformationDescriptor:
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "triples", tri)
+        object.__setattr__(self, "basis_fingerprint", _fingerprint(self.basis_fingerprint))
 
     @property
     def size_m(self) -> int:

@@ -19,11 +19,11 @@ only read and write coefficients never import it.
 
 from __future__ import annotations
 
+import functools
 import glob
 import hashlib
 import io
 import os
-import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._files import _frozen, open_new
+from ._files import _fingerprint, _frozen, open_new
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -116,12 +116,6 @@ class SpectralBasis:
             raise ValueError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
-        h = hashlib.sha256()
-        h.update(self.operator_fingerprint.encode())
-        # the arrays' buffers, not a copy of them
-        h.update(vals)
-        h.update(vecs)
-        object.__setattr__(self, "_fingerprint", h.hexdigest())
 
     @property
     def n(self) -> int:
@@ -131,20 +125,27 @@ class SpectralBasis:
     def m(self) -> int:
         return self.eigenvectors.shape[1]
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
-        return self._fingerprint
+        """SHA-256 hex digest of the operator fingerprint and the eigenpairs,
+        hashed when first read: a basis that is only saved is never hashed."""
+        h = hashlib.sha256(self.operator_fingerprint.encode())
+        # the arrays' buffers, not a copy of them
+        h.update(self.eigenvalues)
+        h.update(self.eigenvectors)
+        return h.hexdigest()
 
     def save(self, path) -> None:
         """Write the SPBS binary format (f64 LE, eigenvectors column-major),
-        _BAND_K columns at a time: one (_BAND_K, N) block, no basis copy."""
+        _BAND_K columns at a time: one (_BAND_K, N) block, no basis copy.
+        ValueError unless the operator fingerprint is empty or a SHA-256 digest."""
         header = struct.pack(
             _SPBS_HEADER,
             _SPBS_MAGIC,
             _SPBS_VERSION,
             self.n,
             self.m,
-            bytes.fromhex(self.operator_fingerprint or "00" * 32),
+            bytes.fromhex(_fingerprint(self.operator_fingerprint) or "00" * 32),
         )
         with open_new(path, binary=True) as f:
             f.write(header)
@@ -206,6 +207,7 @@ class SpectralCoefficients:
         if not np.isfinite(v).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "basis_fingerprint", _fingerprint(self.basis_fingerprint))
 
     @property
     def m(self) -> int:
@@ -286,6 +288,7 @@ class CoefficientStack:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "basis_fingerprint", _fingerprint(self.basis_fingerprint))
 
     @classmethod
     def of(cls, coeffs, ids=None) -> "CoefficientStack":
@@ -322,20 +325,26 @@ def _stack_digest(fields: bytes, paths: list[str], body) -> bytes:
 def save_coeff_dir(directory, stack: CoefficientStack) -> None:
     """Write each shape's coefficients to ``<id>.csv``, then the stack file.
 
-    The basis fingerprint must be empty or a SHA-256 hex digest. The stack
-    file holds the shapes in the order ``load_coeff_dir`` finds their CSVs,
-    sorted by name.
+    The stack file holds the shapes in the order ``load_coeff_dir`` finds
+    their CSVs, sorted by name.
 
-    Raises ValueError before writing anything if the directory holds a shape
-    CSV that this call would not overwrite: ``load_coeff_dir`` would read it
-    as one more shape of the bundle.
+    Raises ValueError before writing anything if an id would not be read back
+    from its ``<id>.csv`` as that id (empty, repeated, holding a path
+    separator, or starting with "base" or "."), or if the directory holds a
+    shape CSV that this call would not overwrite: ``load_coeff_dir`` would
+    read it as one more shape of the bundle.
     """
     fp = stack.basis_fingerprint
-    if fp and not re.fullmatch("[0-9a-f]{64}", fp):
-        raise ValueError(f"basis fingerprint {fp!r} is not a SHA-256 hex digest")
+    names = set()
+    for i in stack.ids:
+        name = f"{i}.csv"
+        if (name in names or name.startswith((".", "base"))
+                or os.path.basename(name) != name):
+            raise ValueError(f"shape id {i!r} is empty, repeated, holds a path separator "
+                             "or starts with 'base' or '.': it would not be read back")
+        names.add(name)
     order = sorted(range(len(stack.ids)), key=lambda k: f"{stack.ids[k]}.csv")
     paths = [os.path.join(directory, f"{stack.ids[k]}.csv") for k in order]
-    names = {os.path.basename(p) for p in paths}
     for p in _shape_csvs(directory):
         if os.path.basename(p) not in names:
             raise ValueError(
@@ -380,9 +389,10 @@ def _read_stack(directory, paths: list[str], ids: list[str]) -> CoefficientStack
 
 
 def _shape_csvs(directory) -> list[str]:
-    """Paths of the directory's ``*.csv`` files but ``base*``, sorted."""
-    paths = sorted(glob.glob(os.path.join(directory, "*.csv")))
-    return [p for p in paths if not os.path.basename(p).startswith("base")]
+    """Paths of the directory's ``*.csv`` files but ``base*``, sorted by name."""
+    # root_dir, so that glob characters in the directory's name stay literal
+    names = sorted(glob.glob("*.csv", root_dir=directory))
+    return [os.path.join(directory, n) for n in names if not n.startswith("base")]
 
 
 def load_coeff_dir(directory) -> CoefficientStack:
@@ -435,9 +445,7 @@ def eigsh(*args, **kwargs):
     return scipy_eigsh(*args, **kwargs)
 
 
-def _banded_eigsh(
-    L: sparse.spmatrix, m: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _banded_eigsh(L: sparse.spmatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m smallest eigenpairs of L, ascending, solved band by band.
 
     After Vallet & Levy, *Spectral Geometry Processing with Manifold
@@ -465,7 +473,7 @@ def _banded_eigsh(
     # a cluster within this gap has eigenvectors defined only up to rotation,
     # harmless as all shapes share one basis; lambda_M <= the largest row sum
     gap_tol = 1e-8 * max(abs(L).sum(axis=1).max(), 1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     k = min(_BAND_K, n - 1)
     kept_vals, kept_vecs = np.empty(m), np.empty((n, m))
     count, last = 0, -np.inf
@@ -539,14 +547,13 @@ def eigendecompose(
     m: int,
     method: str = "auto",
     operator_fingerprint: str = "",
-    seed: int = 0,
 ) -> SpectralBasis:
     """Compute the m smallest eigenpairs of a sparse symmetric PSD operator.
 
     ``method`` is "dense" (LAPACK on the full matrix), "lanczos" (banded
     shift-invert Lanczos: a few dozen eigenpairs per band, each solved with
     one symmetric-mode minimum-degree sparse LU, about half the fill of
-    COLAMD's; start vectors drawn from ``seed`` for reproducibility) or
+    COLAMD's; start vectors drawn from a fixed seed for reproducibility) or
     "auto". "auto" takes dense when m >= N - 1, or when N <= DENSE_MAX_N and
     m is at least DENSE_MIN_SHARE of N; otherwise the banded solve.
 
@@ -570,7 +577,7 @@ def eigendecompose(
         vals, vecs = linalg.eigh(L.toarray(order="F"), subset_by_index=[0, m - 1],
                                  overwrite_a=True)
     else:
-        vals, vecs = _banded_eigsh(L, m, seed)
+        vals, vecs = _banded_eigsh(L, m)
     _verify(L, vals, vecs)
     _fix_signs(vecs)
     for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy

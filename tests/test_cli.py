@@ -729,6 +729,22 @@ class TestCoefficientStack:
         assert self._outputs(faulty, desc, capsys) == expected
         assert all(code == 0 for code, _, _ in expected.values())
 
+    def test_directory_name_with_glob_characters(self, pipeline, tmp_path, capsys):
+        # "run[1]" is a glob pattern matching "run1", not a name, unless escaped
+        _, bundle, basis, coeffs = pipeline
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--augment", "--out", desc]) == 0
+        outputs = []
+        for name in ("plain", "run[1]"):
+            out = tmp_path / name / "coeffs"
+            out.parent.mkdir()
+            assert main(["encode", "--bundle", bundle, "--basis", basis,
+                         "--out", str(out)]) == 0
+            outputs.append(self._outputs(out, desc, capsys))
+        assert outputs[1] == outputs[0]
+        assert all(code == 0 for code, _, _ in outputs[0].values())
+
 
 def _format_uses(node, where=None):
     """(enclosing function, kind) of each name or literal of the stack format;

@@ -10,7 +10,7 @@ from spectral_deform.spectral import FingerprintMismatchError
 from conftest import grid_mesh
 
 
-def coeffs_of(values, fp="testfp"):
+def coeffs_of(values, fp="a0" * 32):
     return sd.SpectralCoefficients(np.asarray(values, dtype=float), fp)
 
 
@@ -91,8 +91,8 @@ class TestBaselineDifference:
         assert desc.selection_mode == "baseline_difference"
 
     def test_fingerprint_mismatch(self):
-        a = coeffs_of([[1, 2, 3]], fp="aaa")
-        b = coeffs_of([[1, 2, 3]], fp="bbb")
+        a = coeffs_of([[1, 2, 3]], fp="aa" * 32)
+        b = coeffs_of([[1, 2, 3]], fp="bb" * 32)
         with pytest.raises(FingerprintMismatchError):
             sd.build_descriptor(a, b, 0.1)
 
@@ -220,7 +220,7 @@ class TestCompareReconstructions:
 
     def test_descriptor_of_another_basis_rejected(self, beam_setup):
         _, basis, _, coeffs = beam_setup
-        desc = sd.complete_descriptor([0, 1], coeffs_of(coeffs.values, fp="other"))
+        desc = sd.complete_descriptor([0, 1], coeffs_of(coeffs.values, fp="ff" * 32))
         with pytest.raises(FingerprintMismatchError):
             sd.compare_reconstructions(basis, coeffs, desc)
 

@@ -1,10 +1,12 @@
 """No library module imports a name it never reads, defines a private
 helper that nothing in the package reads, imports scipy when it is
-imported, validates again triangles that another mesh already holds, or
-freezes a constructor's array by hand; the CLI imports no private name of
-the package."""
+imported, validates again triangles that another mesh already holds,
+freezes a constructor's array by hand, or checks a fingerprint's format
+outside ``_files._fingerprint``; the CLI imports no private name of the
+package."""
 
 import ast
+import re
 from pathlib import Path
 
 import spectral_deform as sd
@@ -169,3 +171,46 @@ def test_every_constructor_stores_its_arrays_through_frozen():
         if calls:
             found[path.name] = calls
     assert found == {}
+
+
+def _fingerprint_fields(tree: ast.Module) -> dict[str, bool]:
+    """For each class with a ``basis_fingerprint`` field: whether its
+    ``__post_init__`` stores the field as ``_fingerprint`` of its value."""
+    stored = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+            isinstance(n, ast.AnnAssign) and ast.unparse(n.target) == "basis_fingerprint"
+            for n in cls.body
+        ):
+            continue
+        stored[cls.name] = any(
+            ast.unparse(node) == "object.__setattr__(self, 'basis_fingerprint', "
+                                 "_fingerprint(self.basis_fingerprint))"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for node in ast.walk(fn)
+        )
+    return stored
+
+
+def test_every_constructor_stores_its_fingerprint_through_fingerprint():
+    # one format rule (_files._fingerprint) for every fingerprint a file carries
+    stored = {}
+    for path in sorted(SRC.glob("*.py")):
+        stored |= _fingerprint_fields(ast.parse(path.read_text(), str(path)))
+    assert set(stored) == {"SpectralCoefficients", "CoefficientStack",
+                           "DeformationDescriptor"}
+    assert all(stored.values()), stored
+
+
+def test_only_files_holds_a_hex_digest_pattern():
+    # a character class of hex digits, such as [0-9a-f] or [a-fA-F0-9]
+    hex_class = re.compile(r"\[[^\]]*(a-f|A-F)[^\]]*\]")
+    found = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and hex_class.search(node.value)
+    }
+    assert found == {"_files.py"}

@@ -7,7 +7,7 @@ import spectral_deform as sd
 from spectral_deform.spectral import FingerprintMismatchError
 
 
-def coeffs_of(values, fp="fp"):
+def coeffs_of(values, fp="a0" * 32):
     return sd.SpectralCoefficients(np.asarray(values, dtype=float), fp)
 
 
@@ -64,7 +64,7 @@ class TestCosine:
 
     def test_fingerprint_mismatch(self, simple):
         _, desc = simple
-        other = coeffs_of(np.ones((4, 3)), fp="other")
+        other = coeffs_of(np.ones((4, 3)), fp="ff" * 32)
         with pytest.raises(FingerprintMismatchError):
             cosine(desc, other)
 

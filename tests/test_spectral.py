@@ -642,3 +642,18 @@ class TestCoefficientStack:
     def test_of_rejects_an_empty_bundle(self):
         with pytest.raises(ValueError, match="empty"):
             sd.CoefficientStack.of([])
+
+    @pytest.mark.parametrize("ids, bad", [
+        (("a", "base1"), "base1"),
+        (("a", "a"), "a"),
+        (("",), ""),
+        (("a", "sub/b"), "sub/b"),
+        (("a", ".b"), ".b"),
+    ], ids=["base prefix", "duplicate", "empty", "path separator", "hidden"])
+    def test_save_rejects_ids_not_read_back(self, ids, bad, tmp_path):
+        # each of these <id>.csv would be dropped, merged or not listed
+        # by load_coeff_dir, or could not be written at all
+        values = np.arange(12.0 * len(ids)).reshape(len(ids), 4, 3)
+        with pytest.raises(ValueError, match=f"shape id {bad!r} is empty, repeated"):
+            sd.save_coeff_dir(tmp_path, sd.CoefficientStack(ids, values))
+        assert list(tmp_path.iterdir()) == []
