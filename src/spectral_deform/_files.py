@@ -1,9 +1,11 @@
-"""The one way the library opens a file for writing, and the one way a
-constructor stores an array or a basis fingerprint: empty when unknown, else
-a SHA-256 hex digest, so no file carries a malformed one (``_fingerprint``)."""
+"""The one way the library opens a file for writing, the one way a loader
+names its file (``reading``), and the one way a constructor stores an array
+or a basis fingerprint: empty when unknown, else a SHA-256 hex digest, so no
+file carries a malformed one (``_fingerprint``)."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 
@@ -28,6 +30,18 @@ def open_new(path, binary: bool = False):
     except FileNotFoundError:
         pass
     return open(path, "xb" if binary else "x")
+
+
+@contextlib.contextmanager
+def reading(path, kind: str, error=ValueError):
+    """Run a loader's open, parse and construct of ``path`` inside: a
+    KeyError, TypeError or ValueError (JSON and UTF-8 decode errors included)
+    is raised again as ``error``, with the message ``<kind> <path>: <type>:
+    <problem>``. An OSError passes through as it is."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        raise error(f"{kind} {path}: {type(e).__name__}: {e}") from e
 
 
 def _frozen(a, dtype=np.float64) -> np.ndarray:

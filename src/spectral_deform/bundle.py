@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._files import _frozen, open_new
+from ._files import _frozen, open_new, reading
 from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
 
 __all__ = [
@@ -327,13 +327,9 @@ def load_bundle(directory) -> SimulationBundle:
     mesh; the states share its triangles (``load_mesh(..., like=base)``).
     """
     path = os.path.join(directory, "manifest.json")
-    with open(path) as f:
-        text = f.read()
-    try:
-        manifest = json.loads(text)
+    with reading(path, "bundle manifest"), open(path) as f:
+        manifest = json.load(f)
         labels = [entry["label"] for entry in manifest["states"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ValueError(f"bundle manifest {path}: {type(e).__name__}: {e}") from e
     base = load_mesh(os.path.join(directory, "base.off"))
     states = np.empty((len(labels), *base.vertices.shape))
     for i in range(len(labels)):

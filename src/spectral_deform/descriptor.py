@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import _fingerprint, _frozen, open_new
+from ._files import _fingerprint, _frozen, open_new, reading
 from .spectral import (
     SpectralBasis,
     SpectralCoefficients,
@@ -69,8 +69,12 @@ class DeformationDescriptor:
             raise EmptySelectionError("descriptor must contain at least one index")
         if np.any(np.diff(idx) <= 0):
             raise ValueError("descriptor indices must be strictly increasing")
+        if not np.isfinite(tri).all() or not np.isfinite(self.threshold):
+            raise ValueError("descriptor triples and threshold must be finite")
         if self.selection_mode not in ("magnitude", "baseline_difference"):
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"descriptor label must be a str, got {self.label!r}")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "triples", tri)
         object.__setattr__(self, "basis_fingerprint", _fingerprint(self.basis_fingerprint))
@@ -120,13 +124,8 @@ class DeformationDescriptor:
     def load(cls, path) -> "DeformationDescriptor":
         """Read a descriptor JSON; ValueError naming the file if it is not
         JSON, lacks a key or has a field of the wrong type or value."""
-        with open(path) as f:
-            text = f.read()
-        try:
-            return cls.from_json(text)
-        # JSONDecodeError is a ValueError
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"descriptor JSON {path}: {type(e).__name__}: {e}") from e
+        with reading(path, "descriptor JSON"), open(path) as f:
+            return cls.from_json(f.read())
 
 
 def statistical_threshold(coeffs: SpectralCoefficients) -> float:
@@ -287,22 +286,17 @@ def tune_threshold(
         err = reconstruction_error(basis, coeffs, idx, reference)
         return err, idx
 
-    lo = 0.0  # known-feasible end (error minimal at t=0)
-    hi = float(np.abs(coeffs.values).max())
-    err_lo, idx_lo = evaluate(lo)
-    best_t, best_err, best_idx = lo, err_lo, idx_lo
-    err_hi, idx_hi = evaluate(hi)
-    if err_hi <= target_rms and idx_hi.size:
-        best_t, best_err, best_idx = hi, err_hi, idx_hi
-    else:
-        for _ in range(_TUNE_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            err, idx = evaluate(mid)
-            if err <= target_rms and idx.size:
-                lo = mid
-                best_t, best_err, best_idx = mid, err, idx
-            else:
-                hi = mid
+    best_t = lo = 0.0  # known-feasible end (error minimal at t=0)
+    hi = float(np.abs(coeffs.values).max())  # selects nothing: |alpha| > t
+    best_err, best_idx = evaluate(lo)
+    for _ in range(_TUNE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        err, idx = evaluate(mid)
+        if err <= target_rms and idx.size:
+            lo = mid
+            best_t, best_err, best_idx = mid, err, idx
+        else:
+            hi = mid
     if best_err > target_rms:
         warnings.warn(
             f"target RMS {target_rms:g} unreachable; best achieved {best_err:g}"

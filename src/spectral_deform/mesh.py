@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import _frozen, open_new
+from ._files import _frozen, open_new, reading
 
 __all__ = [
     "MeshError",
@@ -258,7 +258,7 @@ def load_mesh(path, like: TriangleMesh | None = None) -> TriangleMesh:
     ``like.with_vertices(...)``: it shares those validated triangles, so they
     are not validated again.
     """
-    try:
+    with reading(path, "mesh file", MeshError):
         _check_off_path(path)
         with open(path, "rb") as f:
             content = f.read()
@@ -268,8 +268,6 @@ def load_mesh(path, like: TriangleMesh | None = None) -> TriangleMesh:
         if not np.array_equal(triangles, like.triangles):
             raise MeshError("triangles differ from the base mesh's")
         return like.with_vertices(verts)
-    except ValueError as e:
-        raise MeshError(f"mesh file {path}: {e}") from e
 
 
 def save_mesh(path, mesh: TriangleMesh) -> None:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._files import _fingerprint, _frozen, open_new
+from ._files import _fingerprint, _frozen, open_new, reading
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -157,28 +157,25 @@ class SpectralBasis:
     @classmethod
     def load(cls, path) -> "SpectralBasis":
         """Read a SPBS file; ValueError naming it unless it has the SPBS magic
-        and version and its length, checked before allocating, matches its
-        header. The body is read _BAND_K columns at a time into the basis
-        array itself: loading holds the basis and one (_BAND_K, N) block."""
+        and version, its length, checked before allocating, matches its
+        header, and it holds a basis. The body is read _BAND_K columns at a
+        time into the basis array itself: loading holds the basis and one
+        (_BAND_K, N) block."""
         head = struct.calcsize(_SPBS_HEADER)
-        with open(path, "rb") as f:
+        with reading(path, "SPBS file"), open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             if size < head:
-                raise ValueError(
-                    f"truncated SPBS file {path}: expected at least {head} bytes "
-                    f"for the header, got {size}"
-                )
+                raise ValueError(f"truncated: expected at least {head} bytes for the "
+                                 f"header, got {size}")
             magic, version, n, m, fp = struct.unpack(_SPBS_HEADER, f.read(head))
             if magic != _SPBS_MAGIC:
-                raise ValueError(f"{path} is not a SPBS file (magic {magic!r})")
+                raise ValueError(f"it is not a SPBS file (magic {magic!r})")
             if version != _SPBS_VERSION:
-                raise ValueError(f"SPBS file {path} has unsupported version {version}")
+                raise ValueError(f"it has unsupported version {version}")
             expected = head + 8 * m * (n + 1)
             if size != expected:
-                raise ValueError(
-                    f"SPBS file {path} (N={n}, M={m}) has the wrong length: "
-                    f"expected {expected} bytes, got {size}"
-                )
+                raise ValueError(f"N={n}, M={m} give the wrong length: expected "
+                                 f"{expected} bytes, got {size}")
             vals, vecs = np.empty(m, "<f8"), np.empty((n, m), "<f8")
             block = np.empty((min(m, _BAND_K), n), "<f8")
             got = head + f.readinto(vals)
@@ -186,11 +183,11 @@ class SpectralBasis:
                 cols = block[:m - j]
                 got += f.readinto(cols)
                 vecs[:, j:j + len(cols)] = cols.T
-        if got != expected:
-            raise ValueError(f"SPBS file {path} changed while it was read")
-        for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
-            a.setflags(write=False)
-        return cls(vals, vecs, "" if fp == bytes(32) else fp.hex())
+            if got != expected:
+                raise ValueError("it changed while it was read")
+            for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
+                a.setflags(write=False)
+            return cls(vals, vecs, "" if fp == bytes(32) else fp.hex())
 
 
 @dataclass(frozen=True)
@@ -232,43 +229,28 @@ class SpectralCoefficients:
         comment states M must hold M rows; one written before M was stated
         is read without that check.
         """
-        with open(path) as f:
+        with reading(path, "coefficient CSV"), open(path) as f:
             head, header, body = f.read().partition(_CSV_HEADER)
-        if not header:
-            raise ValueError(
-                f"coefficient CSV {path} lacks the header {_CSV_HEADER.strip()!r}"
-            )
-        fields = {}  # "# key: value" comment lines
-        for line in head.splitlines():
-            if line.lstrip().startswith("#"):
-                key, _, value = line.lstrip()[1:].partition(":")
-                fields[key.strip()] = value.strip()
-        fp = fields.get("basis_fingerprint", "")
-        if not body.strip():
-            raise ValueError(f"coefficient CSV {path} has no data rows")
-        try:
+            if not header:
+                raise ValueError(f"it lacks the header {_CSV_HEADER.strip()!r}")
+            fields = {}  # "# key: value" comment lines
+            for line in head.splitlines():
+                if line.lstrip().startswith("#"):
+                    key, _, value = line.lstrip()[1:].partition(":")
+                    fields[key.strip()] = value.strip()
+            if not body.strip():
+                raise ValueError("it has no data rows")
             rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-        except ValueError as e:
-            raise ValueError(f"malformed coefficient CSV {path}: {e}") from e
-        if rows.shape[1] != 4:
-            raise ValueError(
-                f"coefficient CSV {path}: rows have {rows.shape[1]} fields, expected 4"
-            )
-        wrong = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
-        if wrong.size:
-            raise ValueError(
-                f"coefficient CSV {path}: data row {wrong[0]} has index "
-                f"{rows[wrong[0], 0]:g}, expected {wrong[0]}"
-            )
-        if "m" in fields and fields["m"] != str(len(rows)):
-            raise ValueError(
-                f"coefficient CSV {path} has {len(rows)} data rows, "
-                f"its header states M={fields['m']}"
-            )
-        try:
-            return cls(rows[:, 1:], fp)
-        except ValueError as e:
-            raise ValueError(f"coefficient CSV {path}: {e}") from e
+            if rows.shape[1] != 4:
+                raise ValueError(f"rows have {rows.shape[1]} fields, expected 4")
+            wrong = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+            if wrong.size:
+                raise ValueError(f"data row {wrong[0]} has index "
+                                 f"{rows[wrong[0], 0]:g}, expected {wrong[0]}")
+            if "m" in fields and fields["m"] != str(len(rows)):
+                raise ValueError(f"it has {len(rows)} data rows, its header states "
+                                 f"M={fields['m']}")
+            return cls(rows[:, 1:], fields.get("basis_fingerprint", ""))
 
 
 @dataclass(frozen=True)

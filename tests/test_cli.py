@@ -955,8 +955,14 @@ class TestInputFiles:
             {**doc, "entries": [{**doc["entries"][0], "index": "a"}]}),
          "ValueError"),
         (lambda doc: json.dumps({**doc, "entries": []}), "ValueError"),
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "alpha_x": float("nan")}]}),
+         "must be finite"),
+        (lambda doc: json.dumps({**doc, "threshold_t": float("inf")}), "must be finite"),
+        (lambda doc: json.dumps({**doc, "label": 5}), "label must be a str"),
     ], ids=["not JSON", "entries are numbers", "index is not a number",
-            "no entries"])
+            "no entries", "alpha_x is NaN", "threshold is infinite",
+            "label is a number"])
     def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, _, coeffs = pipeline
         desc = tmp_path / "d.json"
@@ -969,6 +975,43 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert str(desc) in err and message in err
 
+
+    @pytest.mark.parametrize("loader", ["OFF", "CSV", "descriptor JSON", "manifest",
+                                        "SPBS"])
+    def test_each_loader_names_its_file(self, loader, pipeline, tmp_path, capsys):
+        """Every loader meets bad input through ``_files.reading``: exit 2,
+        and the path and the problem on stderr."""
+        _, _, basis, coeffs = pipeline
+        copy = _copy_bundle(pipeline, tmp_path)
+        desc, csv, spbs = tmp_path / "d.json", tmp_path / "006.csv", tmp_path / "b.spbs"
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--out", str(desc)]) == 0
+        shutil.copy(os.path.join(coeffs, "006.csv"), csv)
+        shutil.copy(basis, spbs)
+        encode = ["encode", "--bundle", str(copy), "--out", str(tmp_path / "coeffs"),
+                  "--basis"]
+        bad, args = {
+            "OFF": (copy / "states" / "004.off", encode + [basis]),
+            "CSV": (csv, ["descriptor", "--coeffs", str(csv),
+                          "--out", str(tmp_path / "out.json")]),
+            "descriptor JSON": (desc, ["filter", "--descriptor", str(desc),
+                                       "--coeffs-dir", coeffs,
+                                       "--out", str(tmp_path / "r.csv")]),
+            "manifest": (copy / "manifest.json", encode + [basis]),
+            "SPBS": (spbs, encode + [str(spbs)]),
+        }[loader]
+        data = bytearray(bad.read_bytes())
+        if loader == "SPBS":  # the first eigenvalue, after the 56-byte header, above the second
+            second = np.frombuffer(data, "<f8", 1, offset=64)[0]
+            data[56:64] = np.array(second + 1.0, "<f8").tobytes()
+            message = "eigenvalues must be ascending"
+        else:  # a byte that starts no UTF-8 character
+            data[:0] = b"\xff"
+            message = "UnicodeDecodeError"
+        bad.write_bytes(data)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and message in err
 
 
 def _stage_args(stage, pipeline, tmp_path, variant):

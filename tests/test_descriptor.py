@@ -297,3 +297,18 @@ class TestJson:
         assert text.index('"selection_mode"') < text.index('"threshold_t"')
         assert text.index('"threshold_t"') < text.index('"basis_fingerprint"')
         assert text.index('"basis_fingerprint"') < text.index('"entries"')
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("triples", [[np.nan, 0.0, 0.0]], "must be finite"),
+    ("triples", [[0.0, np.inf, 0.0]], "must be finite"),
+    ("threshold", np.nan, "must be finite"),
+    ("threshold", -np.inf, "must be finite"),
+    ("label", 5, "label must be a str"),
+    ("label", None, "label must be a str"),
+])
+def test_descriptor_rejects_non_finite_numbers_and_a_label_not_str(field, value, message):
+    # a NaN triple would score every shape 0.0 in a ranking
+    args = {"indices": [0], "triples": [[1.0, 0.0, 0.0]], "threshold": 0.5, "label": "a"}
+    with pytest.raises(ValueError, match=message):
+        sd.DeformationDescriptor(**{**args, field: value})

@@ -1,9 +1,10 @@
 """No library module imports a name it never reads, defines a private
 helper that nothing in the package reads, imports scipy when it is
 imported, validates again triangles that another mesh already holds,
-freezes a constructor's array by hand, or checks a fingerprint's format
-outside ``_files._fingerprint``; the CLI imports no private name of the
-package."""
+freezes a constructor's array by hand, checks a fingerprint's format
+outside ``_files._fingerprint``, or names a file it reads in a message of its
+own rather than through ``_files.reading``; the CLI imports no private name
+of the package."""
 
 import ast
 import re
@@ -214,3 +215,52 @@ def test_only_files_holds_a_hex_digest_pattern():
         and hex_class.search(node.value)
     }
     assert found == {"_files.py"}
+
+
+def _raises_formatting_path(tree: ast.Module) -> list[int]:
+    """Lines of ``raise`` statements whose exception formats a name ``path``
+    into an f-string."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for value in ast.walk(node.exc)
+        if isinstance(value, ast.FormattedValue)
+        and any(isinstance(n, ast.Name) and n.id == "path" for n in ast.walk(value))
+    })
+
+
+def _reading_functions(tree: ast.Module) -> set[str]:
+    """``[Class.]function`` names whose body holds a ``with reading(...)``."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                if any(isinstance(w, ast.With) and any(
+                        isinstance(item.context_expr, ast.Call)
+                        and ast.unparse(item.context_expr.func) == "reading"
+                        for item in w.items) for w in ast.walk(child)):
+                    found.add(prefix + child.name)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_loader_names_its_file_through_reading():
+    # one reading rule: a loader's problem reaches its caller as
+    # "<kind> <path>: <type>: <problem>", worded in one place (_files.reading)
+    formatted, loaders = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = _raises_formatting_path(tree)
+        if lines and path.name != "_files.py":
+            formatted[path.name] = lines
+        loaders |= {f"{path.stem}.{name}" for name in _reading_functions(tree)}
+    assert formatted == {}
+    assert loaders == {"mesh.load_mesh", "bundle.load_bundle",
+                       "descriptor.DeformationDescriptor.load",
+                       "spectral.SpectralCoefficients.load_csv",
+                       "spectral.SpectralBasis.load"}

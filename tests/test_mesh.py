@@ -118,7 +118,7 @@ def test_non_off_path_rejected_before_reading(tmp_path):
     path = tmp_path / "missing.obj"
     with pytest.raises(MeshError) as exc:
         sd.load_mesh(path)
-    assert str(exc.value).startswith(f"mesh file {path}: cannot infer mesh format")
+    assert str(exc.value).startswith(f"mesh file {path}: MeshError: cannot infer mesh format")
 
 
 def test_vertices_immutable(small_beam):

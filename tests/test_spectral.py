@@ -530,7 +530,7 @@ class TestPersistence:
         path.write_bytes(header + bytes(8))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"{path} .*wrong length.* got 64$"):
+            with pytest.raises(ValueError, match=f"{path}: .*wrong length.* got 64$"):
                 sd.SpectralBasis.load(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -551,7 +551,7 @@ class TestPersistence:
             return types.SimpleNamespace(st_size=size) if st.st_ino == inode else st
 
         monkeypatch.setattr(os, "fstat", fstat)
-        with pytest.raises(ValueError, match=f"{path} changed while it was read"):
+        with pytest.raises(ValueError, match=f"{path}: .*changed while it was read"):
             sd.SpectralBasis.load(path)
 
     @staticmethod
