@@ -57,7 +57,7 @@ class BeamParams:
 
     def __post_init__(self):
         for name in ("length", "hat_width", "hat_height", "flange_width"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.axial_segments < 2 or self.section_segments < 2:
             raise ValueError("segment counts must be >= 2")
@@ -76,12 +76,14 @@ class DeformationSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+        if not self.amplitude >= 0:
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if not 0.0 <= self.location <= 1.0:
             raise ValueError("location must be in [0, 1]")
         if self.fold_count < 1:
             raise ValueError("fold_count must be >= 1")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

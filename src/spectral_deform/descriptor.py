@@ -37,9 +37,6 @@ __all__ = [
     "tune_threshold",
 ]
 
-_TUNE_BISECTIONS = 32
-
-
 class EmptySelectionError(ValueError):
     """Threshold selected no coefficients; decrease the threshold."""
 
@@ -136,7 +133,7 @@ def statistical_threshold(coeffs: SpectralCoefficients) -> float:
 
 def select_by_threshold(coeffs: SpectralCoefficients, t: float) -> np.ndarray:
     """Indices where any axis satisfies |alpha| > t, ascending."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
     idx = np.flatnonzero((np.abs(coeffs.values) > t).any(axis=1))
     if idx.size == 0:
@@ -144,6 +141,11 @@ def select_by_threshold(coeffs: SpectralCoefficients, t: float) -> np.ndarray:
             f"no coefficient exceeds t={t:g}; decrease the threshold"
         )
     return idx
+
+
+def _augmented(indices: np.ndarray, augment: bool) -> np.ndarray:
+    """``indices``, with eigenvectors 0 and 1 unioned in when ``augment``."""
+    return np.union1d(indices, [0, 1]) if augment else indices
 
 
 def complete_descriptor(
@@ -160,9 +162,7 @@ def complete_descriptor(
     unioned in so reconstructions keep the global position and tilt.
     Warns when the descriptor is not actually compact (> 10% of M).
     """
-    idx = np.unique(np.asarray(indices, dtype=np.int64))
-    if augment:
-        idx = np.union1d(idx, [0, 1])
+    idx = _augmented(np.unique(np.asarray(indices, dtype=np.int64)), augment)
     if idx.size and (idx.min() < 0 or idx.max() >= coeffs.m):
         raise ValueError(f"index out of coefficient range [0, {coeffs.m})")
     if idx.size > 0.1 * coeffs.m:
@@ -264,49 +264,38 @@ def tune_threshold(
 ) -> tuple[float, DeformationDescriptor, float]:
     """Find the largest threshold whose reconstruction meets a target error.
 
-    Bisects t over [0, max|alpha|]. Error is measured against the
-    M-truncated reference reconstruction (decode of all M coefficients), so
-    a target of 0 is achievable for exactly-sparse coefficient vectors.
-    Returns (t, descriptor, achieved_rms); if even t=0 misses the target the
-    best achieved descriptor is returned with a warning. A threshold that
-    selects nothing is never accepted, ``augment`` or not, so coefficients
-    that are all zero raise EmptySelectionError.
+    Only the distinct nonzero row maxima of |alpha|, the levels, give
+    different selections, so the search bisects over how many of the largest
+    levels to keep, for the fewest whose reconstruction error is at most
+    ``target_rms``. Error is measured against the M-truncated reference
+    reconstruction (decode of all M coefficients), so a target of 0 is
+    achievable for exactly-sparse coefficient vectors. The returned t lies
+    just below the smallest kept level: the largest threshold that selects
+    those rows. Returns (t, descriptor, achieved_rms); if even every level
+    misses the target, all are kept, with a warning. Coefficients that are
+    all zero have no level and raise EmptySelectionError, ``augment`` or not.
     """
-    if target_rms < 0:
-        raise ValueError("target_rms must be >= 0")
+    if not target_rms >= 0:
+        raise ValueError(f"target_rms must be >= 0, got {target_rms}")
+    row_max = np.abs(coeffs.values).max(axis=1)
+    levels = np.unique(row_max[row_max > 0])[::-1]
+    if levels.size == 0:
+        raise EmptySelectionError("every coefficient is zero; no threshold selects any")
     reference = reconstruct_geometry(basis, coeffs, None)
-
-    def evaluate(t: float) -> tuple[float, np.ndarray]:
-        try:
-            idx = select_by_threshold(coeffs, t)
-        except EmptySelectionError:
-            idx = np.empty(0, dtype=np.int64)
-        if augment and idx.size:
-            idx = np.union1d(idx, [0, 1])
-        err = reconstruction_error(basis, coeffs, idx, reference)
-        return err, idx
-
-    best_t = lo = 0.0  # known-feasible end (error minimal at t=0)
-    hi = float(np.abs(coeffs.values).max())  # selects nothing: |alpha| > t
-    best_err, best_idx = evaluate(lo)
-    for _ in range(_TUNE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        err, idx = evaluate(mid)
-        if err <= target_rms and idx.size:
-            lo = mid
-            best_t, best_err, best_idx = mid, err, idx
+    rows = np.flatnonzero(row_max)
+    err = reconstruction_error(basis, coeffs, _augmented(rows, augment), reference)
+    # the lo largest levels miss the target; rows are those of the hi largest
+    lo, hi = 0, levels.size
+    if err > target_rms:
+        warnings.warn(f"target RMS {target_rms:g} unreachable; best achieved {err:g}")
+    while err <= target_rms and hi - lo > 1:
+        k = (lo + hi) // 2
+        kept = np.flatnonzero(row_max >= levels[k - 1])
+        kept_err = reconstruction_error(basis, coeffs, _augmented(kept, augment), reference)
+        if kept_err <= target_rms:
+            hi, rows, err = k, kept, kept_err
         else:
-            hi = mid
-    if best_err > target_rms:
-        warnings.warn(
-            f"target RMS {target_rms:g} unreachable; best achieved {best_err:g}"
-        )
-    # an empty best_idx (t=0 selects nothing) raises EmptySelectionError here
-    desc = complete_descriptor(
-        best_idx,
-        coeffs,
-        augment=False,  # augmentation already applied during the search
-        threshold=best_t,
-        label=label,
-    )
-    return best_t, desc, best_err
+            lo = k
+    t = float(np.nextafter(levels[hi - 1], 0))
+    desc = complete_descriptor(rows, coeffs, augment=augment, threshold=t, label=label)
+    return t, desc, err

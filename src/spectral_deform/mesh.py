@@ -115,7 +115,8 @@ class _Faces:
 
     @functools.cached_property
     def off(self) -> str:
-        return "".join(f"3 {a} {b} {c}\n" for a, b, c in self.triangles.tolist())
+        tris = self.triangles
+        return ("3 %d %d %d\n" * len(tris)) % tuple(tris.ravel().tolist())
 
 
 def _component_count(n: int, triangles: np.ndarray) -> int:

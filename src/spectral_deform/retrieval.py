@@ -104,6 +104,8 @@ def filter_bundle(
         raise ValueError("specify exactly one of top_k or min_score")
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
+    if min_score is not None and np.isnan(min_score):
+        raise ValueError(f"min_score must be a number, got {min_score}")
     ranking = rank_bundle(descriptor, bundle)
     if top_k is not None:
         if top_k > len(ranking.ids):

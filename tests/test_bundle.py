@@ -26,6 +26,11 @@ class TestHatBeam:
         with pytest.raises(ValueError, match="hat_height"):
             sd.BeamParams(hat_height=0.0)
 
+    @pytest.mark.parametrize("name", ["length", "hat_width", "hat_height", "flange_width"])
+    def test_nan_dimension_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
+            sd.BeamParams(**{name: float("nan")})
+
     def test_vertex_ordering_axial_major(self, small_beam):
         x = small_beam.vertices[:, 0]
         # stations are contiguous blocks of constant x, ascending
@@ -101,6 +106,10 @@ class TestApplyDeformation:
             sd.DeformationSpec("upward_bend", 1.0, location=1.5)
         with pytest.raises(ValueError):
             sd.DeformationSpec("axial_crush", 1.0, fold_count=0)
+        with pytest.raises(ValueError, match="amplitude must be >= 0, got nan"):
+            sd.DeformationSpec("upward_bend", float("nan"))
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0, got nan"):
+            sd.DeformationSpec("upward_bend", 1.0, noise_sigma=float("nan"))
 
 
 class TestGenerateBundle:

@@ -430,6 +430,35 @@ class TestFilter:
         assert not out.exists()
 
 
+class TestNanArguments:
+    """A NaN where a stage needs a number in range exits 2, naming the argument."""
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--threshold", "threshold must be >= 0, got nan"),
+        ("--tune", "target_rms must be >= 0, got nan"),
+        ("--length", "length must be > 0, got nan"),
+        ("--hat-width", "hat_width must be > 0, got nan"),
+        ("--noise-sigma", "noise_sigma must be >= 0, got nan"),
+        ("--min-score", "min_score must be a number, got nan"),
+    ])
+    def test_nan_exit_2(self, pipeline, tmp_path, capsys, flag, message):
+        _, _, basis, coeffs = pipeline
+        out = tmp_path / "out"
+        shape = ["--coeffs", os.path.join(coeffs, "006.csv")]
+        if flag == "--min-score":
+            desc = str(tmp_path / "d.json")
+            assert main(["descriptor", *shape, "--out", desc]) == 0
+            argv = ["filter", "--descriptor", desc, "--coeffs-dir", coeffs]
+        elif flag in ("--threshold", "--tune"):
+            argv = ["descriptor", *shape, "--basis", basis]
+        else:
+            argv = GEN
+        code = main([*argv, flag, "nan", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCluster:
     def test_k1_rejected(self, pipeline, tmp_path):
         _, _, _, coeffs = pipeline

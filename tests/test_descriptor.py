@@ -49,6 +49,10 @@ class TestSelection:
         c = coeffs_of([[1, 0, 0], [0, 0, 0], [0, -2, 0]])
         np.testing.assert_array_equal(sd.select_by_threshold(c, 0.0), [0, 2])
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+            sd.select_by_threshold(coeffs_of([[1, 0, 0]]), float("nan"))
+
     def test_max_threshold_empty_error(self):
         c = coeffs_of([[1, 0, 0], [0, 3, 0]])
         with pytest.raises(EmptySelectionError, match="decrease"):
@@ -267,6 +271,52 @@ class TestTuneThreshold:
         _, basis, _, coeffs = beam_setup
         t, desc, achieved = sd.tune_threshold(coeffs, basis, 1e-9)
         assert achieved <= 1e-9
+
+
+class TestTuneThresholdLevels:
+    """tune_threshold keeps the fewest levels (distinct nonzero row maxima of
+    |alpha|) that meet the target, as a scan over every level finds them."""
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("frac", [0.3, 0.1, 0.03, 0.01, 0.003])
+    def test_equals_scan_over_every_level(self, beam_setup, monkeypatch, frac, augment):
+        _, basis, _, coeffs = beam_setup
+        reference = sd.reconstruct_geometry(basis, coeffs)
+        target = frac * np.sqrt(np.mean(np.sum(reference ** 2, axis=1)))
+        row_max = np.abs(coeffs.values).max(axis=1)
+        levels = np.unique(row_max[row_max > 0])[::-1]
+        for level in levels:
+            rows = np.flatnonzero(row_max >= level)
+            if augment:
+                rows = np.union1d(rows, [0, 1])
+            scan_err = sd.reconstruction_error(basis, coeffs, rows, reference)
+            if scan_err <= target:
+                break
+        calls = []
+        reconstruct = sd.descriptor.reconstruct_geometry
+
+        def counted(*args):
+            calls.append(args)
+            return reconstruct(*args)
+
+        monkeypatch.setattr(sd.descriptor, "reconstruct_geometry", counted)
+        t, desc, achieved = sd.tune_threshold(coeffs, basis, target, augment=augment)
+        np.testing.assert_array_equal(desc.indices, rows)
+        assert achieved == scan_err
+        assert desc.threshold == t
+        # the reference, then at most ceil(log2(levels)) + 1 subsets
+        assert len(calls) <= int(np.ceil(np.log2(levels.size))) + 2
+        selected = sd.select_by_threshold(coeffs, t)
+        if augment:
+            selected = np.union1d(selected, [0, 1])
+        np.testing.assert_array_equal(selected, desc.indices)
+        # t is the largest threshold that selects these rows
+        assert (row_max > np.nextafter(t, np.inf)).sum() < (row_max > t).sum()
+
+    def test_nan_target_rejected(self, beam_setup):
+        _, basis, _, coeffs = beam_setup
+        with pytest.raises(ValueError, match="target_rms must be >= 0, got nan"):
+            sd.tune_threshold(coeffs, basis, float("nan"))
 
 
 class TestJson:

@@ -148,6 +148,12 @@ class TestFilter:
         with pytest.raises(ValueError, match=f"top_k must be at least 1, got {top_k}"):
             sd.filter_bundle(desc, [source, source], top_k=top_k)
 
+    def test_nan_min_score_rejected(self, simple):
+        # every comparison with NaN is False, so it would select nothing
+        source, desc = simple
+        with pytest.raises(ValueError, match="min_score must be a number, got nan"):
+            sd.filter_bundle(desc, [source], min_score=float("nan"))
+
     def test_exactly_one_mode_required(self, simple):
         source, desc = simple
         with pytest.raises(ValueError):
