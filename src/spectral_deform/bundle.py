@@ -10,6 +10,7 @@ regenerated bit-exactly from their manifest.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, asdict
@@ -59,6 +60,8 @@ class BeamParams:
         for name in ("length", "hat_width", "hat_height", "flange_width"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.axial_segments < 2 or self.section_segments < 2:
             raise ValueError("segment counts must be >= 2")
 
@@ -84,6 +87,9 @@ class DeformationSpec:
             raise ValueError("fold_count must be >= 1")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("amplitude", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -305,8 +311,11 @@ def save_bundle(directory, bundle: SimulationBundle) -> None:
 
     Each state is written as the base's validated triangles with the state's
     coordinates, so the triangles are neither validated nor formatted again
-    per state.
+    per state. Raises ValueError before making the directory if a coordinate
+    of the base or of a state is not finite.
     """
+    if not (np.isfinite(bundle.base.vertices).all() and np.isfinite(bundle.states).all()):
+        raise ValueError("refusing to write a bundle with non-finite vertex coordinates")
     os.makedirs(os.path.join(directory, "states"), exist_ok=True)
     save_mesh(os.path.join(directory, "base.off"), bundle.base)
     for i, state in enumerate(bundle.states):

@@ -9,10 +9,10 @@ leaves the work to the library and saves what it returns; ``descriptor`` and
 ``reconstruct`` are one library call each, so their rules live in the library.
 
 ``encode`` writes a coefficient directory: one CSV per shape, then a binary
-stack of the shapes with a digest of their CSVs, then ``base.csv``.
-``filter`` and ``cluster`` read the stack while the digest still matches
-the CSVs on disk and parse the CSVs otherwise, with the same results either
-way; the CSVs are authoritative.
+stack of the shapes that ends with a copy of each CSV, then ``base.csv``.
+``filter`` and ``cluster`` read the stack while every CSV on disk still
+equals its copy byte for byte and parse the CSVs otherwise, with the same
+results either way; the CSVs are authoritative.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 empty result.
 """

@@ -10,8 +10,10 @@ a connected mesh.
 
 A coefficient directory holds one CSV per shape, ``<id>.csv``, and the
 stack file ``coefficients.spcs``: the same coefficients as one binary
-(S, M, 3) array, with a digest of the CSVs it was written over. The CSVs are
-authoritative; the stack is read only while its digest still matches them.
+(S, M, 3) array, followed by a verbatim copy of each CSV it was written
+from. The CSVs are authoritative; the stack is read only while every CSV
+still equals its copy byte for byte, so a query reads the CSVs but neither
+parses nor hashes them.
 
 scipy is imported only by the solvers that run it, so that the stages which
 only read and write coefficients never import it.
@@ -24,6 +26,7 @@ import glob
 import hashlib
 import io
 import os
+import shutil
 import struct
 import warnings
 from dataclasses import dataclass
@@ -77,11 +80,12 @@ _SPBS_HEADER = "<4sIQQ32s"
 _CSV_HEADER = "index,alpha_x,alpha_y,alpha_z\n"
 
 # a coefficient directory's stack file: the header fields (magic, version,
-# S, M, basis fingerprint), then the SHA-256 digest of those fields, of each
-# shape CSV's name and bytes and of the (S, M, 3) f64 LE body that follows
+# S, M, basis fingerprint) and the SHA-256 digest of those fields, of each
+# shape CSV's name and byte size and of the body; then the (S, M, 3) f64 LE
+# body, the S CSV sizes as u64 LE and each CSV's bytes, in name order
 _STACK_NAME = "coefficients.spcs"
 _STACK_MAGIC = b"SPCS"
-_STACK_VERSION = 1
+_STACK_VERSION = 2
 _STACK_HEADER = "<4sIQQ32s"
 
 
@@ -289,17 +293,14 @@ class CoefficientStack:
         return cls(ids, values, fp)
 
 
-def _stack_digest(fields: bytes, paths: list[str], body) -> bytes:
-    """SHA-256 of the stack's header fields, of each CSV's name and bytes
-    as they are on disk, and of the stack body."""
+def _stack_digest(fields: bytes, paths: list[str], sizes, body) -> bytes:
+    """SHA-256 of the stack's header fields, of each CSV's name and byte size
+    and of the stack body. The CSV text is compared with its copy, not hashed."""
     h = hashlib.sha256(fields)
-    for p in paths:
-        with open(p, "rb") as f:
-            data = f.read()
+    for p, size in zip(paths, sizes):
         name = os.path.basename(p).encode()
-        h.update(struct.pack("<QQ", len(name), len(data)))
+        h.update(struct.pack("<QQ", len(name), size))
         h.update(name)
-        h.update(data)
     h.update(body)
     return h.digest()
 
@@ -308,7 +309,8 @@ def save_coeff_dir(directory, stack: CoefficientStack) -> None:
     """Write each shape's coefficients to ``<id>.csv``, then the stack file.
 
     The stack file holds the shapes in the order ``load_coeff_dir`` finds
-    their CSVs, sorted by name.
+    their CSVs, sorted by name, then a copy of each CSV, read back one at a
+    time.
 
     Raises ValueError before writing anything if an id would not be read back
     from its ``<id>.csv`` as that id (empty, repeated, holding a path
@@ -336,38 +338,68 @@ def save_coeff_dir(directory, stack: CoefficientStack) -> None:
     for p, k in zip(paths, order):
         SpectralCoefficients(stack.values[k], fp).save_csv(p)
     body = stack.values[order].astype("<f8").tobytes()
+    sizes = [os.path.getsize(p) for p in paths]
     fields = struct.pack(_STACK_HEADER, _STACK_MAGIC, _STACK_VERSION,
                          *stack.values.shape[:2], bytes.fromhex(fp or "00" * 32))
     with open_new(os.path.join(directory, _STACK_NAME), binary=True) as f:
         f.write(fields)
-        f.write(_stack_digest(fields, paths, body))
+        f.write(_stack_digest(fields, paths, sizes, body))
         f.write(body)
+        f.write(struct.pack(f"<{len(sizes)}Q", *sizes))
+        for p in paths:
+            with open(p, "rb") as csv:
+                shutil.copyfileobj(csv, f)
 
 
 def _read_stack(directory, paths: list[str], ids: list[str]) -> CoefficientStack | None:
-    """The directory's stack, named ``ids``, if it matches the CSVs at ``paths``;
-    None if it cannot be read, is cut, has another magic or version, was
-    written over a different number of CSVs, or its digest differs."""
-    try:
-        with open(os.path.join(directory, _STACK_NAME), "rb") as f:
-            data = f.read()
-    except OSError:
-        return None
+    """The directory's stack, named ``ids``, if it was written from the CSVs
+    at ``paths`` as they are now; else None.
+
+    Checked in this order, each check returning None when it fails: the
+    magic, the version and S against the number of CSVs; a file size that
+    holds the body and the CSV sizes, before either is allocated; a file size
+    equal to the header, the body, the sizes and the CSV bytes they state;
+    the digest of the header fields, the CSVs' names and sizes and the body;
+    each CSV, opened once, equal byte for byte to its copy; no bytes after
+    the last copy. So the stack is used only while every CSV is the text its
+    body was written from, and no CSV is hashed or parsed. The digest is
+    unkeyed: it finds a damaged stack, not a deliberate edit of it.
+    """
     fields = struct.calcsize(_STACK_HEADER)
     head = fields + hashlib.sha256().digest_size
-    if len(data) < head:
+    try:
+        with open(os.path.join(directory, _STACK_NAME), "rb", buffering=0) as f:
+            size = os.fstat(f.fileno()).st_size
+            header = f.read(head)
+            if len(header) != head:
+                return None
+            magic, version, s, m, fp = struct.unpack_from(_STACK_HEADER, header)
+            if (magic, version, s) != (_STACK_MAGIC, _STACK_VERSION, len(paths)):
+                return None
+            if size < head + 24 * s * m + 8 * s:
+                return None
+            values = np.empty((s, m, 3), "<f8")
+            if f.readinto(values) != values.nbytes:
+                return None
+            raw = f.read(8 * s)
+            if len(raw) != 8 * s:
+                return None
+            sizes = struct.unpack(f"<{s}Q", raw)
+            if size != head + 24 * s * m + 8 * s + sum(sizes):
+                return None
+            if _stack_digest(header[:fields], paths, sizes, values) != header[fields:]:
+                return None
+            for p, n in zip(paths, sizes):
+                # bytes against bytes: comparing through a memoryview is slower
+                with open(p, "rb", buffering=0) as csv:
+                    if csv.read(n + 1) != f.read(n):
+                        return None
+            if f.read(1):
+                return None
+    except OSError:
         return None
-    magic, version, s, m, fp = struct.unpack_from(_STACK_HEADER, data)
-    if (magic, version, s) != (_STACK_MAGIC, _STACK_VERSION, len(paths)):
-        return None
-    body = memoryview(data)[head:]
-    if len(body) != 24 * s * m:
-        return None
-    if _stack_digest(data[:fields], paths, body) != data[fields:head]:
-        return None
-    fp_hex = "" if fp == bytes(32) else fp.hex()
-    values = np.frombuffer(body, dtype="<f8").reshape(s, m, 3)
-    return CoefficientStack(ids, values, fp_hex)
+    values.setflags(write=False)  # fresh, so that the stack needs no copy
+    return CoefficientStack(ids, values, "" if fp == bytes(32) else fp.hex())
 
 
 def _shape_csvs(directory) -> list[str]:
@@ -443,8 +475,9 @@ def _banded_eigsh(L: sparse.spmatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
     again with sigma moved down. Every band but the last is cut in a spectral
     gap wider than gap_tol, so no degenerate cluster is split between two
     bands. Each band writes the pairs it keeps into the (m,) and (n, m)
-    arrays returned, allocated once, so the solve holds the basis and one
-    band's ARPACK workspace.
+    arrays returned, allocated once, and drops its LU and Ritz vectors before
+    the next band factors, so the solve holds the basis and one band's
+    ARPACK workspace.
     """
     from scipy.sparse import identity
     from scipy.sparse.linalg import LinearOperator, splu
@@ -463,6 +496,7 @@ def _banded_eigsh(L: sparse.spmatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
     band = 0
     while count < m:
         band += 1
+        lu = vecs = None  # the last band's factor and Ritz vectors go before the next LU
         try:
             lu = splu(A - sigma * eye, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                       options={"SymmetricMode": True})

@@ -31,6 +31,11 @@ class TestHatBeam:
         with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
             sd.BeamParams(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name", ["length", "hat_width", "hat_height", "flange_width"])
+    def test_infinite_dimension_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+            sd.BeamParams(**{name: float("inf")})
+
     def test_vertex_ordering_axial_major(self, small_beam):
         x = small_beam.vertices[:, 0]
         # stations are contiguous blocks of constant x, ascending
@@ -110,6 +115,10 @@ class TestApplyDeformation:
             sd.DeformationSpec("upward_bend", float("nan"))
         with pytest.raises(ValueError, match="noise_sigma must be >= 0, got nan"):
             sd.DeformationSpec("upward_bend", 1.0, noise_sigma=float("nan"))
+        with pytest.raises(ValueError, match="amplitude must be finite, got inf"):
+            sd.DeformationSpec("upward_bend", float("inf"))
+        with pytest.raises(ValueError, match="noise_sigma must be finite, got inf"):
+            sd.DeformationSpec("upward_bend", 1.0, noise_sigma=float("inf"))
 
 
 class TestGenerateBundle:
@@ -177,6 +186,15 @@ class TestDiskFormat:
             loaded.base.vertices, bundle.base.vertices
         )
         np.testing.assert_array_equal(loaded.states, bundle.states)
+
+    def test_non_finite_state_writes_nothing(self, tmp_path):
+        bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=4)
+        states = bundle.states.copy()
+        states[2, 7, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            sd.save_bundle(tmp_path / "b", sd.SimulationBundle(
+                bundle.base, states, bundle.manifest))
+        assert not (tmp_path / "b").exists()
 
     def test_manifest_schema(self, tmp_path):
         bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=5)

@@ -4,8 +4,10 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -458,6 +460,24 @@ class TestNanArguments:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--noise-sigma", "inf"], "noise_sigma must be finite, got inf"),
+        (["--length", "inf"], "length must be finite, got inf"),
+        (["--hat-width", "inf"], "hat_width must be finite, got inf"),
+        # the default noise, 0.5% of the beam's diagonal, overflows
+        (["--length", "1e308"], "noise_sigma must be finite, got inf"),
+        # finite arguments, but the deformed coordinates overflow
+        (["--length", "1e308", "--noise-sigma", "0"], "non-finite vertex coordinates"),
+    ], ids=["noise_sigma_inf", "length_inf", "hat_width_inf", "length_1e308",
+            "length_1e308_noise_0"])
+    def test_non_finite_generate_writes_nothing(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow's own
+            assert main([*GEN, *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCluster:
     def test_k1_rejected(self, pipeline, tmp_path):
@@ -644,6 +664,24 @@ def _edit_keeping_size(path):
     path.write_text("".join(lines))
 
 
+def _stack_layout(path):
+    """(S, M, offset of the CSV sizes) of a stack file."""
+    s, m = struct.unpack_from("<QQ", path.read_bytes(), HEADER_FIELDS["s"])
+    return s, m, HEADER_FIELDS["digest"] + 32 + 24 * s * m
+
+
+def _read_stack(d):
+    """The stack of coefficient directory ``d`` if it is usable, else None."""
+    paths = spectral._shape_csvs(d)
+    return spectral._read_stack(d, paths, [os.path.basename(p)[:-4] for p in paths])
+
+
+def _swap(a, b):
+    data = a.read_bytes()
+    a.write_bytes(b.read_bytes())
+    b.write_bytes(data)
+
+
 # the same coefficient directory, made inconsistent with its stack
 STACK_FAULTS = {
     "intact": lambda d: None,
@@ -656,6 +694,12 @@ STACK_FAULTS = {
     "csv_added": lambda d: shutil.copy(d / "003.csv", d / "009.csv"),
     "csv_removed": lambda d: (d / "008.csv").unlink(),
     "csv_renamed": lambda d: (d / "003.csv").rename(d / "010.csv"),
+    # the stack ends with the last CSV's copy
+    "copy_byte_flipped": lambda d: _flip(d / STACK, -100),
+    "csvs_swapped": lambda d: _swap(d / "003.csv", d / "004.csv"),
+    "csv_appended": lambda d: (d / "003.csv").write_text(
+        (d / "003.csv").read_text() + "# a comment\n"),
+    "size_field_flipped": lambda d: _flip(d / STACK, _stack_layout(d / STACK)[2]),
 }
 
 
@@ -751,12 +795,61 @@ class TestCoefficientStack:
         (tmp_path / "with").mkdir()
         faulty = _copy_coeffs(pipeline, tmp_path / "with")
         STACK_FAULTS[fault](faulty)
+        # every fault but "intact" makes the stack unusable
+        assert (_read_stack(faulty) is None) == (fault != "intact")
         plain = tmp_path / "without" / "coeffs"
         shutil.copytree(faulty, plain)
         (plain / STACK).unlink(missing_ok=True)
         expected = self._outputs(plain, desc, capsys)
         assert self._outputs(faulty, desc, capsys) == expected
         assert all(code == 0 for code, _, _ in expected.values())
+
+    def test_stack_absurd_header_ignored_before_allocating(self, pipeline, tmp_path):
+        coeffs = _copy_coeffs(pipeline, tmp_path)
+        data = bytearray((coeffs / STACK).read_bytes())
+        struct.pack_into("<Q", data, HEADER_FIELDS["m"], 2**40)
+        (coeffs / STACK).write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            assert _read_stack(coeffs) is None
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_matching_stack_hashes_no_csv_and_opens_each_once(
+        self, pipeline, monkeypatch
+    ):
+        # a query's cost: the CSVs are compared with their copies, never
+        # hashed, parsed or read twice
+        _, _, _, coeffs = pipeline
+        paths = spectral._shape_csvs(coeffs)
+        real_sha, real_open, hashed, opened = spectral.hashlib.sha256, open, [0], []
+
+        class Counting:
+            def __init__(self, data=b""):
+                self.h = real_sha()
+                self.update(data)
+
+            def update(self, data):
+                hashed[0] += memoryview(data).nbytes
+                self.h.update(data)
+
+            def __getattr__(self, name):
+                return getattr(self.h, name)
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.hashlib, "sha256", Counting)
+        monkeypatch.setattr(spectral, "open", counting_open, raising=False)
+        monkeypatch.setattr(sd.SpectralCoefficients, "load_csv", None)
+        stack = sd.load_coeff_dir(coeffs)
+        s, m, _ = _stack_layout(Path(coeffs) / STACK)
+        assert stack.values.shape == (s, m, 3) == (len(paths), m, 3)
+        names = sum(16 + len(os.path.basename(p)) for p in paths)
+        assert 0 < hashed[0] <= HEADER_FIELDS["digest"] + names + 24 * s * m
+        assert sorted(p for p in opened if p.endswith(".csv")) == paths
 
     def test_directory_name_with_glob_characters(self, pipeline, tmp_path, capsys):
         # "run[1]" is a glob pattern matching "run1", not a name, unless escaped

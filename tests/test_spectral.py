@@ -151,8 +151,9 @@ class TestBandedSolve:
         banded, peak = traced_peak(sd.eigendecompose, L, 500, "lanczos")
         assert len(bands) >= 5
         # the basis is held once: its bytes plus one band's ARPACK workspace
-        # (ncv = 2k + 1 vectors of N), no whole-basis temporaries
-        assert peak <= banded.eigenvectors.nbytes + 8 * (8 * banded.n * spectral._BAND_K)
+        # (ncv = 2k + 1 vectors of N), no whole-basis temporaries and no
+        # earlier band's Ritz vectors
+        assert peak <= banded.eigenvectors.nbytes + 6 * (8 * banded.n * spectral._BAND_K)
         # every band solves with the LU it was given, none factors on its own
         assert all(isinstance(b.get("OPinv"), LinearOperator) for b in bands)
         oracle = dla.eigh(L.toarray(), subset_by_index=[0, 499], eigvals_only=True)
