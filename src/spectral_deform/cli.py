@@ -287,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--tune requires --basis")
         if args.baseline is not None:
             parser.error("--tune selects by magnitude and takes no --baseline")
+    if args.command == "cluster" and args.first_m is not None and args.feature != "first_m":
+        parser.error("--first-m requires --feature first_m")
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)

@@ -7,6 +7,10 @@ Thresholding is applied to absolute values: selection is about contribution
 magnitude, and large negative coefficients matter as much as positive ones.
 ``build_descriptor`` makes one; ``compare_reconstructions`` judges it
 against the eigenvalue-ordered truncation of the same size.
+The error of a subset is against the reconstruction from all M
+coefficients. The basis is orthonormal (``eigendecompose`` checks it), so by
+Parseval that error is the RMS energy of the rows left out, and the library
+reports it from the coefficients alone (``reconstruction_error`` decodes).
 """
 
 from __future__ import annotations
@@ -57,6 +61,13 @@ class DeformationDescriptor:
     label: str = ""
 
     def __post_init__(self):
+        # a bool is an int to Python, a float would be truncated, a negative
+        # index would count from the end, and int64 stops below 2**63
+        bad = [i for i in np.asarray(self.indices, dtype=object).ravel()
+               if isinstance(i, bool) or not isinstance(i, (int, np.integer))
+               or not 0 <= i < 2**63]
+        if bad:
+            raise ValueError(f"descriptor indices must be integers >= 0, got {bad[0]!r}")
         idx, tri = _frozen(self.indices, np.int64), _frozen(self.triples)
         if idx.ndim != 1 or tri.shape != (idx.shape[0], 3):
             raise ValueError(
@@ -107,10 +118,8 @@ class DeformationDescriptor:
         doc = json.loads(text)
         entries = doc["entries"]
         return cls(
-            indices=np.array([e["index"] for e in entries], dtype=np.int64),
-            triples=np.array(
-                [[e["alpha_x"], e["alpha_y"], e["alpha_z"]] for e in entries]
-            ),
+            indices=[e["index"] for e in entries],
+            triples=[[e["alpha_x"], e["alpha_y"], e["alpha_z"]] for e in entries],
             threshold=float(doc["threshold_t"]),
             selection_mode=doc["selection_mode"],
             basis_fingerprint=doc.get("basis_fingerprint", ""),
@@ -225,11 +234,21 @@ def reconstruction_error(
         recon = np.zeros((basis.n, 3))
     else:
         recon = reconstruct_geometry(basis, coeffs, subset)
-    return _rms_error(recon, reference)
-
-
-def _rms_error(recon: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((recon - reference) ** 2, axis=1))))
+
+
+def _truncation_rms(basis: SpectralBasis, coeffs: SpectralCoefficients, subset) -> float:
+    """The error of the reconstruction from ``subset``, by Parseval: sqrt(sum of
+    |alpha_i|^2 / N) over the rows i left out, summed over them rather than as
+    the total minus the kept rows, which cancels. Checks as reconstruct_geometry."""
+    _check_fingerprint(basis.fingerprint, coeffs.basis_fingerprint, "basis and coefficients")
+    if coeffs.m != basis.m:
+        raise ValueError(f"coefficients M={coeffs.m} but basis M={basis.m}")
+    subset = np.asarray(subset, dtype=np.int64)
+    if subset.size and (subset.min() < 0 or subset.max() >= basis.m):
+        raise ValueError(f"index out of basis range [0, {basis.m})")
+    left_out = np.delete(coeffs.values, subset, axis=0)
+    return float(np.sqrt(np.sum(left_out ** 2) / basis.n))
 
 
 def compare_reconstructions(
@@ -241,18 +260,18 @@ def compare_reconstructions(
 
     Reconstructs the shape from the descriptor's indices (``"descriptor"``)
     and from the first ``desc.size_m`` indices (``"first_m_ordered"``), each
-    as ``(coordinates, RMS error)`` against the reconstruction from all M
-    coefficients. The descriptor and the coefficients must be of one basis.
+    as ``(coordinates, RMS error)``; the errors come from the coefficients,
+    so only the two subsets are decoded. The descriptor and the coefficients
+    must be of one basis.
     """
     _check_fingerprint(desc.basis_fingerprint, coeffs.basis_fingerprint,
                        "descriptor and coefficients")
-    reference = reconstruct_geometry(basis, coeffs, None)
-    results = {}
-    for name, subset in (("descriptor", desc.indices),
-                         ("first_m_ordered", np.arange(desc.size_m))):
-        coords = reconstruct_geometry(basis, coeffs, subset)
-        results[name] = (coords, _rms_error(coords, reference))
-    return results
+    return {
+        name: (reconstruct_geometry(basis, coeffs, subset),
+               _truncation_rms(basis, coeffs, subset))
+        for name, subset in (("descriptor", desc.indices),
+                             ("first_m_ordered", np.arange(desc.size_m)))
+    }
 
 
 def tune_threshold(
@@ -264,38 +283,30 @@ def tune_threshold(
 ) -> tuple[float, DeformationDescriptor, float]:
     """Find the largest threshold whose reconstruction meets a target error.
 
-    Only the distinct nonzero row maxima of |alpha|, the levels, give
-    different selections, so the search bisects over how many of the largest
-    levels to keep, for the fewest whose reconstruction error is at most
-    ``target_rms``. Error is measured against the M-truncated reference
-    reconstruction (decode of all M coefficients), so a target of 0 is
-    achievable for exactly-sparse coefficient vectors. The returned t lies
-    just below the smallest kept level: the largest threshold that selects
-    those rows. Returns (t, descriptor, achieved_rms); if even every level
-    misses the target, all are kept, with a warning. Coefficients that are
-    all zero have no level and raise EmptySelectionError, ``augment`` or not.
+    Only the distinct nonzero row maxima of |alpha|, the levels, select
+    differently. Keeping the levels from one up leaves out the energy of the
+    rows below it, so one cumulative sum of that energy, smallest level
+    first, gives every level's error (rows 0 and 1 are kept with
+    ``augment``); the fewest levels within ``target_rms`` are kept. Keeping
+    all leaves out only zero rows, an error of exactly 0, so every target >= 0
+    is met. t lies just below the smallest kept level: the largest threshold
+    that selects those rows. Returns (t, descriptor, achieved_rms); all-zero
+    coefficients raise EmptySelectionError.
     """
     if not target_rms >= 0:
         raise ValueError(f"target_rms must be >= 0, got {target_rms}")
     row_max = np.abs(coeffs.values).max(axis=1)
-    levels = np.unique(row_max[row_max > 0])[::-1]
-    if levels.size == 0:
+    if not row_max.any():
         raise EmptySelectionError("every coefficient is zero; no threshold selects any")
-    reference = reconstruct_geometry(basis, coeffs, None)
-    rows = np.flatnonzero(row_max)
-    err = reconstruction_error(basis, coeffs, _augmented(rows, augment), reference)
-    # the lo largest levels miss the target; rows are those of the hi largest
-    lo, hi = 0, levels.size
-    if err > target_rms:
-        warnings.warn(f"target RMS {target_rms:g} unreachable; best achieved {err:g}")
-    while err <= target_rms and hi - lo > 1:
-        k = (lo + hi) // 2
-        kept = np.flatnonzero(row_max >= levels[k - 1])
-        kept_err = reconstruction_error(basis, coeffs, _augmented(kept, augment), reference)
-        if kept_err <= target_rms:
-            hi, rows, err = k, kept, kept_err
-        else:
-            lo = k
-    t = float(np.nextafter(levels[hi - 1], 0))
-    desc = complete_descriptor(rows, coeffs, augment=augment, threshold=t, label=label)
-    return t, desc, err
+    levels, level_of = np.unique(row_max, return_inverse=True)
+    energy = np.sum(coeffs.values ** 2, axis=1)
+    if augment:
+        energy[:2] = 0.0
+    # keeping levels[k:] leaves out the energy of the levels below k
+    per_level = np.bincount(level_of, energy, levels.size)
+    rms = np.sqrt(np.concatenate(([0.0], np.cumsum(per_level[:-1]))) / basis.n)
+    k = np.flatnonzero(rms <= target_rms)[-1]
+    rows = _augmented(np.flatnonzero(row_max >= levels[k]), augment)
+    achieved = _truncation_rms(basis, coeffs, rows)
+    t = float(np.nextafter(levels[k], 0))
+    return t, complete_descriptor(rows, coeffs, threshold=t, label=label), achieved

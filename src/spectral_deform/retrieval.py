@@ -165,8 +165,9 @@ def cluster_coefficients(
 
     ``feature`` is "first_eigenvector_xyz" (the 3 coefficients of the first
     eigenvector, enough to separate coarse deformation modes) or "first_m"
-    (the flattened first ``m`` triples). Seeded k-means++ initialization and
-    Lloyd iterations until the relative inertia change drops below 1e-6.
+    (the flattened first ``m`` triples, 1 <= m <= M). Seeded k-means++
+    initialization and Lloyd iterations until the relative inertia change
+    drops below 1e-6.
     """
     values = CoefficientStack.of(bundle).values
     n = len(values)
@@ -175,8 +176,9 @@ def cluster_coefficients(
     if feature == "first_eigenvector_xyz":
         x = values[:, 0]
     elif feature == "first_m":
-        if m is None or m < 1:
-            raise ValueError("feature 'first_m' needs m >= 1")
+        if m is None or not 1 <= m <= values.shape[1]:
+            raise ValueError(f"feature 'first_m' needs 1 <= m <= M={values.shape[1]}, "
+                             f"got {m}")
         x = values[:, :m].reshape(n, -1)
     else:
         raise ValueError(f"unknown feature {feature!r}")

@@ -342,7 +342,7 @@ class TestReconstruct:
         assert "different bases" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_three_reconstructions_per_call(self, pipeline, tmp_path, monkeypatch):
+    def test_two_reconstructions_per_call(self, pipeline, tmp_path, monkeypatch):
         calls = []
         original = spectral.reconstruct_geometry
 
@@ -354,7 +354,7 @@ class TestReconstruct:
             monkeypatch.setattr(module, "reconstruct_geometry", counting)
         code, _, _ = self._run(pipeline, tmp_path)
         assert code == 0
-        assert len(calls) == 3  # the reference, then each subset once
+        assert len(calls) == 2  # each subset once; the errors need no decode
 
     def test_errors_equal_reconstruction_error(self, pipeline, tmp_path):
         _, _, basis_path, coeffs = pipeline
@@ -364,16 +364,16 @@ class TestReconstruct:
         c = sd.SpectralCoefficients.load_csv(os.path.join(coeffs, "006.csv"))
         desc = sd.DeformationDescriptor.load(desc_path)
         reference = sd.reconstruct_geometry(basis, c, None)
-        expected = {
-            "descriptor": sd.reconstruction_error(basis, c, desc.indices, reference),
-            "first_m_ordered": sd.reconstruction_error(
-                basis, c, np.arange(desc.size_m), reference
-            ),
-        }
         lines = (out / "errors.csv").read_text().splitlines()[1:]
-        assert dict(line.split(",") for line in lines) == {
-            name: repr(err) for name, err in expected.items()
-        }
+        rows = dict(line.split(",") for line in lines)
+        assert list(rows) == ["descriptor", "first_m_ordered"]
+        for name, subset in (("descriptor", desc.indices),
+                             ("first_m_ordered", np.arange(desc.size_m))):
+            # written as computed from the coefficients; Parseval makes it
+            # the geometric error up to rounding
+            assert rows[name] == repr(sd.descriptor._truncation_rms(basis, c, subset))
+            geometric = sd.reconstruction_error(basis, c, subset, reference)
+            assert float(rows[name]) == pytest.approx(geometric, rel=1e-12, abs=0)
 
 
 class TestFilter:
@@ -509,6 +509,27 @@ class TestCluster:
                      "-k", "3", "--out", str(tmp_path / "a.csv")])
         assert code == 2
         assert "different bases" in capsys.readouterr().err
+
+    def test_first_m_above_m_exit_2(self, pipeline, tmp_path, capsys):
+        # M=40: a larger m is refused, not clamped to the M columns there are
+        _, _, _, coeffs = pipeline
+        out = tmp_path / "a.csv"
+        code = main(["cluster", "--coeffs-dir", coeffs, "-k", "3",
+                     "--feature", "first_m", "--first-m", "41", "--out", str(out)])
+        assert code == 2
+        assert "1 <= m <= M=40, got 41" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_first_m_without_its_feature_exit_2(self, pipeline, tmp_path, capsys):
+        # refused, rather than ignored in favour of the first-eigenvector clusters
+        _, _, _, coeffs = pipeline
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--coeffs-dir", coeffs, "-k", "3",
+                  "--first-m", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--first-m requires --feature first_m" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _old_load_csv(path):
@@ -1082,9 +1103,19 @@ class TestInputFiles:
          "must be finite"),
         (lambda doc: json.dumps({**doc, "threshold_t": float("inf")}), "must be finite"),
         (lambda doc: json.dumps({**doc, "label": 5}), "label must be a str"),
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "index": -1}]}),
+         "integers >= 0, got -1"),
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "index": 0.7}]}),
+         "integers >= 0, got 0.7"),
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "index": 2**64}]}),
+         f"integers >= 0, got {2**64}"),
     ], ids=["not JSON", "entries are numbers", "index is not a number",
             "no entries", "alpha_x is NaN", "threshold is infinite",
-            "label is a number"])
+            "label is a number", "index is negative", "index is not an integer",
+            "index overflows int64"])
     def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, _, coeffs = pipeline
         desc = tmp_path / "d.json"

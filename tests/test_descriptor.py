@@ -219,7 +219,10 @@ class TestCompareReconstructions:
             np.testing.assert_array_equal(
                 coords, sd.reconstruct_geometry(basis, coeffs, subset)
             )
-            assert err == sd.reconstruction_error(basis, coeffs, subset, ref)
+            # from the coefficients, which by Parseval is the geometric error
+            assert err == sd.descriptor._truncation_rms(basis, coeffs, subset)
+            assert err == pytest.approx(
+                sd.reconstruction_error(basis, coeffs, subset, ref), rel=1e-12, abs=0)
         assert got["descriptor"][1] <= got["first_m_ordered"][1] + 1e-12
 
     def test_descriptor_of_another_basis_rejected(self, beam_setup):
@@ -244,7 +247,7 @@ class TestTuneThreshold:
         sparse_coeffs = sd.SpectralCoefficients(vals, basis.fingerprint)
         t, desc, achieved = sd.tune_threshold(sparse_coeffs, basis, 0.0)
         np.testing.assert_array_equal(desc.indices, [2, 7, 11])
-        assert achieved <= 1e-12
+        assert achieved == 0.0
 
     def test_monotone_target_sweep(self, beam_setup):
         _, basis, _, coeffs = beam_setup
@@ -302,10 +305,10 @@ class TestTuneThresholdLevels:
         monkeypatch.setattr(sd.descriptor, "reconstruct_geometry", counted)
         t, desc, achieved = sd.tune_threshold(coeffs, basis, target, augment=augment)
         np.testing.assert_array_equal(desc.indices, rows)
-        assert achieved == scan_err
+        assert achieved == pytest.approx(scan_err, rel=1e-12, abs=0)
         assert desc.threshold == t
-        # the reference, then at most ceil(log2(levels)) + 1 subsets
-        assert len(calls) <= int(np.ceil(np.log2(levels.size))) + 2
+        # the errors come from the coefficients, so nothing is decoded
+        assert calls == []
         selected = sd.select_by_threshold(coeffs, t)
         if augment:
             selected = np.union1d(selected, [0, 1])
@@ -317,6 +320,70 @@ class TestTuneThresholdLevels:
         _, basis, _, coeffs = beam_setup
         with pytest.raises(ValueError, match="target_rms must be >= 0, got nan"):
             sd.tune_threshold(coeffs, basis, float("nan"))
+
+    def test_zero_target_keeps_every_row_without_a_miss(self, beam_setup):
+        # keeping every nonzero row leaves an error of exactly 0, so a target
+        # of 0 is met; the only warning is that the descriptor is not compact
+        _, basis, _, coeffs = beam_setup
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t, desc, achieved = sd.tune_threshold(coeffs, basis, 0.0)
+        assert [str(w.message) for w in caught] == [
+            f"descriptor has {basis.m} indices, more than 10% of M={basis.m}; "
+            "not compact"]
+        np.testing.assert_array_equal(desc.indices,
+                                      np.flatnonzero(coeffs.values.any(axis=1)))
+        assert achieved == 0.0
+
+    def test_augmented_rows_count_as_kept(self, beam_setup):
+        # rows 0 and 1 have the smallest levels; kept anyway, their energy is
+        # not left out, so level 10 alone meets a target just above row 9's
+        _, basis, _, _ = beam_setup
+        vals = np.zeros((basis.m, 3))
+        vals[[0, 1, 5, 9]] = [[0.1, 0, 0], [0, 0.1, 0], [10.0, 0, 0], [0, 0, 1.0]]
+        sparse_coeffs = sd.SpectralCoefficients(vals, basis.fingerprint)
+        target = np.sqrt(1.01 / basis.n)
+        _, desc, achieved = sd.tune_threshold(sparse_coeffs, basis, target, augment=True)
+        np.testing.assert_array_equal(desc.indices, [0, 1, 5])
+        assert achieved == pytest.approx(np.sqrt(1.0 / basis.n), rel=1e-12)
+        _, desc, _ = sd.tune_threshold(sparse_coeffs, basis, target)
+        np.testing.assert_array_equal(desc.indices, [5, 9])
+
+    def test_coefficients_of_another_basis_rejected(self, beam_setup):
+        _, basis, _, coeffs = beam_setup
+        with pytest.raises(FingerprintMismatchError):
+            sd.tune_threshold(coeffs_of(coeffs.values, fp="ff" * 32), basis, 1.0)
+
+    def test_coefficients_of_another_m_rejected(self, beam_setup):
+        _, basis, _, coeffs = beam_setup
+        fewer = sd.SpectralCoefficients(coeffs.values[:-1], basis.fingerprint)
+        with pytest.raises(ValueError, match=f"M={basis.m - 1} but basis M={basis.m}"):
+            sd.tune_threshold(fewer, basis, 1.0)
+
+
+class TestTruncationRms:
+    """The error every reconstruction reports, from the coefficients alone,
+    against the geometric error of ``reconstruction_error``."""
+
+    @pytest.mark.parametrize("subset", ["empty", "descriptor", "first_m", "full"])
+    def test_equals_reconstruction_error(self, beam_setup, subset):
+        _, basis, _, coeffs = beam_setup
+        desc = sd.build_descriptor(coeffs, augment=True)
+        rows = {"empty": np.arange(0), "descriptor": desc.indices,
+                "first_m": np.arange(desc.size_m), "full": np.arange(basis.m)}[subset]
+        reference = sd.reconstruct_geometry(basis, coeffs, None)
+        got = sd.descriptor._truncation_rms(basis, coeffs, rows)
+        if subset == "full":
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(
+                sd.reconstruction_error(basis, coeffs, rows, reference), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("index", [-1, 60])
+    def test_index_out_of_range_rejected(self, beam_setup, index):
+        _, basis, _, coeffs = beam_setup
+        with pytest.raises(ValueError, match=r"index out of basis range \[0, 60\)"):
+            sd.descriptor._truncation_rms(basis, coeffs, [0, index])
 
 
 class TestJson:
@@ -362,3 +429,11 @@ def test_descriptor_rejects_non_finite_numbers_and_a_label_not_str(field, value,
     args = {"indices": [0], "triples": [[1.0, 0.0, 0.0]], "threshold": 0.5, "label": "a"}
     with pytest.raises(ValueError, match=message):
         sd.DeformationDescriptor(**{**args, field: value})
+
+
+@pytest.mark.parametrize("indices", [[-1], [0.7], [True], [0, True], [1.0, 2.0], [2**63]])
+def test_descriptor_rejects_indices_not_integers_at_least_0(indices):
+    # a negative index would score against row M-1, and 0.7 against row 0
+    triples = np.ones((len(indices), 3))
+    with pytest.raises(ValueError, match="descriptor indices must be integers >= 0"):
+        sd.DeformationDescriptor(indices, triples, 0.5)

@@ -215,6 +215,13 @@ class TestClustering:
         assign = sd.cluster_coefficients(bundle, 2, feature="first_m", m=4)
         assert assign.centroids.shape == (2, 12)
 
+    @pytest.mark.parametrize("m", [0, 7, None])
+    def test_first_m_outside_1_to_m_rejected(self, m):
+        # an m above M is refused, not clamped to the M triples there are
+        bundle, _ = self._blobs(m=6)
+        with pytest.raises(ValueError, match=f"1 <= m <= M=6, got {m}"):
+            sd.cluster_coefficients(bundle, 2, feature="first_m", m=m)
+
 
 class TestExports:
     def test_ranking_csv(self, tmp_path, simple):
