@@ -61,13 +61,19 @@ class DeformationDescriptor:
     label: str = ""
 
     def __post_init__(self):
-        # a bool is an int to Python, a float would be truncated, a negative
-        # index would count from the end, and int64 stops below 2**63
+        # a bool is an int to Python and a str is cast to a float; a float index
+        # would be truncated, a negative one would count from the end, and
+        # int64 stops below 2**63
         bad = [i for i in np.asarray(self.indices, dtype=object).ravel()
                if isinstance(i, bool) or not isinstance(i, (int, np.integer))
                or not 0 <= i < 2**63]
         if bad:
             raise ValueError(f"descriptor indices must be integers >= 0, got {bad[0]!r}")
+        bad = [x for x in [self.threshold, *np.asarray(self.triples, dtype=object).ravel()]
+               if isinstance(x, bool) or not isinstance(x, (int, float, np.number))]
+        if bad:
+            raise ValueError(f"descriptor triples and threshold must be numbers, "
+                             f"got {bad[0]!r}")
         idx, tri = _frozen(self.indices, np.int64), _frozen(self.triples)
         if idx.ndim != 1 or tri.shape != (idx.shape[0], 3):
             raise ValueError(
@@ -120,7 +126,7 @@ class DeformationDescriptor:
         return cls(
             indices=[e["index"] for e in entries],
             triples=[[e["alpha_x"], e["alpha_y"], e["alpha_z"]] for e in entries],
-            threshold=float(doc["threshold_t"]),
+            threshold=doc["threshold_t"],
             selection_mode=doc["selection_mode"],
             basis_fingerprint=doc.get("basis_fingerprint", ""),
             label=doc.get("label", ""),

@@ -3,7 +3,8 @@
 A single basis (the first M eigenpairs of the base mesh operator, ascending
 eigenvalues, orthonormal eigenvectors) is shared by all deformed states of a
 bundle. Mesh functions and xyz coordinate columns are projected into the
-basis with plain transposes and reconstructed by partial sums.
+basis with plain transposes and reconstructed by partial sums. A basis file
+(SPBS) holds the basis arrays in the order memory holds them.
 
 All eigenvector indices are 0-based: index 0 is the constant null vector of
 a connected mesh.
@@ -73,8 +74,11 @@ _BAND_CUT = 4
 _RESIDUAL_TOL = 1e-7
 _ORTHONORMALITY_TOL = 1e-8
 
+# a basis file: the header fields (magic, version, N, M, operator
+# fingerprint), then the (M,) eigenvalues and (N, M) eigenvectors, f64 LE in
+# C order; version 1, with column-major eigenvectors, is not read
 _SPBS_MAGIC = b"SPBS"
-_SPBS_VERSION = 1
+_SPBS_VERSION = 2
 _SPBS_HEADER = "<4sIQQ32s"
 
 _CSV_HEADER = "index,alpha_x,alpha_y,alpha_z\n"
@@ -140,31 +144,22 @@ class SpectralBasis:
         return h.hexdigest()
 
     def save(self, path) -> None:
-        """Write the SPBS binary format (f64 LE, eigenvectors column-major),
-        _BAND_K columns at a time: one (_BAND_K, N) block, no basis copy.
+        """Write the SPBS file: the header, then the eigenvalues and the
+        eigenvectors as they are held, f64 LE in C order, one write each.
         ValueError unless the operator fingerprint is empty or a SHA-256 digest."""
-        header = struct.pack(
-            _SPBS_HEADER,
-            _SPBS_MAGIC,
-            _SPBS_VERSION,
-            self.n,
-            self.m,
-            bytes.fromhex(_fingerprint(self.operator_fingerprint) or "00" * 32),
-        )
+        fp = bytes.fromhex(_fingerprint(self.operator_fingerprint) or "00" * 32)
         with open_new(path, binary=True) as f:
-            f.write(header)
-            f.write(np.ascontiguousarray(self.eigenvalues, dtype="<f8"))
-            for j in range(0, self.m, _BAND_K):
-                f.write(np.ascontiguousarray(self.eigenvectors[:, j:j + _BAND_K].T,
-                                             dtype="<f8"))
+            f.write(struct.pack(_SPBS_HEADER, _SPBS_MAGIC, _SPBS_VERSION,
+                                self.n, self.m, fp))
+            for a in (self.eigenvalues, self.eigenvectors):
+                f.write(np.ascontiguousarray(a, "<f8"))  # a view, not a copy, on LE
 
     @classmethod
     def load(cls, path) -> "SpectralBasis":
         """Read a SPBS file; ValueError naming it unless it has the SPBS magic
         and version, its length, checked before allocating, matches its
-        header, and it holds a basis. The body is read _BAND_K columns at a
-        time into the basis array itself: loading holds the basis and one
-        (_BAND_K, N) block."""
+        header, and it holds a basis. Each array is read straight into the
+        basis: loading holds the basis and nothing more."""
         head = struct.calcsize(_SPBS_HEADER)
         with reading(path, "SPBS file"), open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
@@ -175,19 +170,13 @@ class SpectralBasis:
             if magic != _SPBS_MAGIC:
                 raise ValueError(f"it is not a SPBS file (magic {magic!r})")
             if version != _SPBS_VERSION:
-                raise ValueError(f"it has unsupported version {version}")
+                raise ValueError(f"it has unsupported version {version}; re-run decompose")
             expected = head + 8 * m * (n + 1)
             if size != expected:
                 raise ValueError(f"N={n}, M={m} give the wrong length: expected "
                                  f"{expected} bytes, got {size}")
             vals, vecs = np.empty(m, "<f8"), np.empty((n, m), "<f8")
-            block = np.empty((min(m, _BAND_K), n), "<f8")
-            got = head + f.readinto(vals)
-            for j in range(0, m, _BAND_K):
-                cols = block[:m - j]
-                got += f.readinto(cols)
-                vecs[:, j:j + len(cols)] = cols.T
-            if got != expected:
+            if head + f.readinto(vals) + f.readinto(vecs) != expected:
                 raise ValueError("it changed while it was read")
             for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
                 a.setflags(write=False)
@@ -337,7 +326,7 @@ def save_coeff_dir(directory, stack: CoefficientStack) -> None:
             )
     for p, k in zip(paths, order):
         SpectralCoefficients(stack.values[k], fp).save_csv(p)
-    body = stack.values[order].astype("<f8").tobytes()
+    body = np.ascontiguousarray(stack.values[order], "<f8")  # one copy, in name order
     sizes = [os.path.getsize(p) for p in paths]
     fields = struct.pack(_STACK_HEADER, _STACK_MAGIC, _STACK_VERSION,
                          *stack.values.shape[:2], bytes.fromhex(fp or "00" * 32))

@@ -1056,7 +1056,7 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("offset, patch, message", [
         (0, b"NOPE", "is not a SPBS file (magic b'NOPE')"),
-        (4, b"\x02", "has unsupported version 2"),
+        (4, b"\x03", "has unsupported version 3; re-run decompose"),
     ], ids=["magic", "version"])
     def test_bad_basis_header_exit_2(self, offset, patch, message, pipeline,
                                      tmp_path, capsys):
@@ -1073,6 +1073,34 @@ class TestInputFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert str(junk) in err and message in err
+
+    @pytest.mark.parametrize("stage", ["encode", "reconstruct", "descriptor --tune"])
+    def test_version_1_basis_exit_2(self, stage, pipeline, tmp_path, capsys):
+        """A basis file of version 1, whose eigenvectors are column-major,
+        is not read: every stage that reads a basis says to decompose again."""
+        _, bundle, basis, coeffs = pipeline
+        b = sd.SpectralBasis.load(basis)
+        old = tmp_path / "v1.spbs"
+        old.write_bytes(
+            struct.pack("<4sIQQ32s", b"SPBS", 1, b.n, b.m,
+                        bytes.fromhex(b.operator_fingerprint))
+            + b.eigenvalues.tobytes() + b.eigenvectors.tobytes("F"))
+        shape = os.path.join(coeffs, "006.csv")
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", shape, "--out", desc]) == 0
+        args = {
+            "encode": ["encode", "--bundle", bundle, "--out", str(tmp_path / "c")],
+            "reconstruct": ["reconstruct", "--coeffs", shape, "--descriptor", desc,
+                            "--mesh", os.path.join(bundle, "base.off"),
+                            "--out", str(tmp_path / "recon")],
+            "descriptor --tune": ["descriptor", "--coeffs", shape, "--tune", "1.0",
+                                  "--out", str(tmp_path / "t.json")],
+        }[stage]
+        capsys.readouterr()
+        assert main(args + ["--basis", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert f"SPBS file {old}: " in err
+        assert "unsupported version 1; re-run decompose" in err
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: "not json", "JSONDecodeError"),
@@ -1112,10 +1140,19 @@ class TestInputFiles:
         (lambda doc: json.dumps(
             {**doc, "entries": [{**doc["entries"][0], "index": 2**64}]}),
          f"integers >= 0, got {2**64}"),
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "alpha_x": "5.0"}]}),
+         "must be numbers, got '5.0'"),
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "alpha_x": True}]}),
+         "must be numbers, got True"),
+        (lambda doc: json.dumps({**doc, "threshold_t": "0.5"}), "must be numbers, got '0.5'"),
+        (lambda doc: json.dumps({**doc, "threshold_t": True}), "must be numbers, got True"),
     ], ids=["not JSON", "entries are numbers", "index is not a number",
             "no entries", "alpha_x is NaN", "threshold is infinite",
             "label is a number", "index is negative", "index is not an integer",
-            "index overflows int64"])
+            "index overflows int64", "alpha_x is a string", "alpha_x is a bool",
+            "threshold is a string", "threshold is a bool"])
     def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, _, coeffs = pipeline
         desc = tmp_path / "d.json"
