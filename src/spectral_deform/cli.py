@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 empty result.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -68,14 +69,8 @@ EXIT_EMPTY = 4
 
 
 def cmd_generate(args) -> int:
-    params = BeamParams(
-        length=args.length,
-        hat_width=args.hat_width,
-        hat_height=args.hat_height,
-        flange_width=args.flange_width,
-        axial_segments=args.axial_segments,
-        section_segments=args.section_segments,
-    )
+    params = BeamParams(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(BeamParams)})
     bundle = generate_bundle(
         params, tuple(args.per_mode), seed=args.seed, noise_sigma=args.noise_sigma
     )
@@ -208,12 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("UP", "DOWN", "CRUSH"))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--noise-sigma", type=float, default=None)
-    g.add_argument("--length", type=float, default=400.0)
-    g.add_argument("--hat-width", type=float, default=60.0)
-    g.add_argument("--hat-height", type=float, default=40.0)
-    g.add_argument("--flange-width", type=float, default=15.0)
-    g.add_argument("--axial-segments", type=int, default=60)
-    g.add_argument("--section-segments", type=int, default=12)
+    for field in dataclasses.fields(BeamParams):  # the annotations are strings
+        g.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default),
+                       default=field.default)
     g.set_defaults(func=cmd_generate)
 
     d = sub.add_parser("decompose", help="eigendecompose the base mesh operator")

@@ -11,11 +11,13 @@ The error of a subset is against the reconstruction from all M
 coefficients. The basis is orthonormal (``eigendecompose`` checks it), so by
 Parseval that error is the RMS energy of the rows left out, and the library
 reports it from the coefficients alone (``reconstruction_error`` decodes).
+That error and the index rule live in ``spectral``, beside the decode.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +28,8 @@ from .spectral import (
     SpectralBasis,
     SpectralCoefficients,
     _check_fingerprint,
+    _rows,
+    _truncation_rms,
     reconstruct_geometry,
 )
 
@@ -69,11 +73,15 @@ class DeformationDescriptor:
                or not 0 <= i < 2**63]
         if bad:
             raise ValueError(f"descriptor indices must be integers >= 0, got {bad[0]!r}")
-        bad = [x for x in [self.threshold, *np.asarray(self.triples, dtype=object).ravel()]
+        numbers = [self.threshold, *np.asarray(self.triples, dtype=object).ravel()]
+        bad = [x for x in numbers
                if isinstance(x, bool) or not isinstance(x, (int, float, np.number))]
         if bad:
             raise ValueError(f"descriptor triples and threshold must be numbers, "
                              f"got {bad[0]!r}")
+        # NaN, an infinity, or an integer too large for a float64
+        if not all(abs(x) <= sys.float_info.max for x in numbers):
+            raise ValueError("descriptor triples and threshold must be finite")
         idx, tri = _frozen(self.indices, np.int64), _frozen(self.triples)
         if idx.ndim != 1 or tri.shape != (idx.shape[0], 3):
             raise ValueError(
@@ -83,8 +91,6 @@ class DeformationDescriptor:
             raise EmptySelectionError("descriptor must contain at least one index")
         if np.any(np.diff(idx) <= 0):
             raise ValueError("descriptor indices must be strictly increasing")
-        if not np.isfinite(tri).all() or not np.isfinite(self.threshold):
-            raise ValueError("descriptor triples and threshold must be finite")
         if self.selection_mode not in ("magnitude", "baseline_difference"):
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
         if not isinstance(self.label, str):
@@ -177,9 +183,8 @@ def complete_descriptor(
     unioned in so reconstructions keep the global position and tilt.
     Warns when the descriptor is not actually compact (> 10% of M).
     """
-    idx = _augmented(np.unique(np.asarray(indices, dtype=np.int64)), augment)
-    if idx.size and (idx.min() < 0 or idx.max() >= coeffs.m):
-        raise ValueError(f"index out of coefficient range [0, {coeffs.m})")
+    idx = _rows(_augmented(np.unique(np.asarray(indices, dtype=np.int64)), augment),
+                coeffs.m, "coefficient")
     if idx.size > 0.1 * coeffs.m:
         warnings.warn(
             f"descriptor has {idx.size} indices, more than 10% of M={coeffs.m}; "
@@ -241,20 +246,6 @@ def reconstruction_error(
     else:
         recon = reconstruct_geometry(basis, coeffs, subset)
     return float(np.sqrt(np.mean(np.sum((recon - reference) ** 2, axis=1))))
-
-
-def _truncation_rms(basis: SpectralBasis, coeffs: SpectralCoefficients, subset) -> float:
-    """The error of the reconstruction from ``subset``, by Parseval: sqrt(sum of
-    |alpha_i|^2 / N) over the rows i left out, summed over them rather than as
-    the total minus the kept rows, which cancels. Checks as reconstruct_geometry."""
-    _check_fingerprint(basis.fingerprint, coeffs.basis_fingerprint, "basis and coefficients")
-    if coeffs.m != basis.m:
-        raise ValueError(f"coefficients M={coeffs.m} but basis M={basis.m}")
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size and (subset.min() < 0 or subset.max() >= basis.m):
-        raise ValueError(f"index out of basis range [0, {basis.m})")
-    left_out = np.delete(coeffs.values, subset, axis=0)
-    return float(np.sqrt(np.sum(left_out ** 2) / basis.n))
 
 
 def compare_reconstructions(

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._files import open_new
 from .descriptor import DeformationDescriptor
-from .spectral import CoefficientStack, _check_fingerprint
+from .spectral import CoefficientStack, _check_fingerprint, _rows
 
 __all__ = [
     "SimilarityRanking",
@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 DEGENERATE_NORM = 1e-14
+# Lloyd stops after this many iterations, or once inertia falls by less than this share
+_LLOYD_MAX_ITER = 300
+_LLOYD_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,9 @@ def _scores(
     """Cosine of the descriptor against every shape of a stack, in one contraction."""
     _check_fingerprint(descriptor.basis_fingerprint, fp,
                        "descriptor and candidate coefficients")
-    if descriptor.indices.max() >= values.shape[1]:
-        raise ValueError(
-            f"descriptor index {descriptor.indices.max()} out of range for "
-            f"M={values.shape[1]} coefficients"
-        )
+    rows = _rows(descriptor.indices, values.shape[1], "coefficient")
     a = descriptor.triples.ravel()
-    b = values[:, descriptor.indices].reshape(len(values), 1, -1)
+    b = values[:, rows].reshape(len(values), 1, -1)
     # a (1, 3m) @ (3m, 1) product per shape is one BLAS dot each, so a score
     # has the bits of scoring its shape alone; b @ a (gemv) differs in the
     # last bits
@@ -131,14 +130,9 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(
-    x: np.ndarray,
-    centers: np.ndarray,
-    max_iter: int = 300,
-    rtol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         inertia = float(d2[np.arange(len(x)), labels].sum())
@@ -148,7 +142,7 @@ def _lloyd(
                 centers[c] = members.mean(axis=0)
             else:  # re-seed an empty cluster at the farthest point
                 centers[c] = x[d2.min(axis=1).argmax()]
-        if prev - inertia <= rtol * max(prev, 1e-300) and np.isfinite(prev):
+        if prev - inertia <= _LLOYD_RTOL * max(prev, 1e-300) and np.isfinite(prev):
             break
         prev = inertia
     return labels, centers, inertia

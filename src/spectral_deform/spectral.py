@@ -7,7 +7,8 @@ basis with plain transposes and reconstructed by partial sums. A basis file
 (SPBS) holds the basis arrays in the order memory holds them.
 
 All eigenvector indices are 0-based: index 0 is the constant null vector of
-a connected mesh.
+a connected mesh, and one rule, ``_rows``, holds every given index in [0, M).
+A subset's reconstruction error is taken by Parseval (``_truncation_rms``).
 
 A coefficient directory holds one CSV per shape, ``<id>.csv``, and the
 stack file ``coefficients.spcs``: the same coefficients as one binary
@@ -601,6 +602,15 @@ def _check_fingerprint(a: str, b: str, what: str) -> None:
         )
 
 
+def _rows(indices, m: int, what: str) -> np.ndarray:
+    """The one eigenvector-index rule: ``indices`` as an int64 array if each
+    is in [0, m); else ValueError naming the ``what`` range."""
+    rows = np.asarray(indices, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        raise ValueError(f"index out of {what} range [0, {m})")
+    return rows
+
+
 def encode(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
     """Spectral coefficients alpha_i = <f, psi_i> of f, (N,) or (N, k)."""
     f = np.asarray(f, dtype=np.float64)
@@ -618,10 +628,7 @@ def decode(
         if coeffs.shape[0] > basis.m:
             raise ValueError(f"{coeffs.shape[0]} coefficients but basis has M={basis.m}")
         return basis.eigenvectors[:, : coeffs.shape[0]] @ coeffs
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= basis.m):
-        raise ValueError(f"index out of basis range [0, {basis.m})")
-    return basis.eigenvectors[:, indices] @ coeffs
+    return basis.eigenvectors[:, _rows(indices, basis.m, "basis")] @ coeffs
 
 
 def encode_geometry(basis: SpectralBasis, coordinates: np.ndarray) -> SpectralCoefficients:
@@ -630,6 +637,13 @@ def encode_geometry(basis: SpectralBasis, coordinates: np.ndarray) -> SpectralCo
     if p.shape != (basis.n, 3):
         raise ValueError(f"coordinates have shape {p.shape}, expected ({basis.n}, 3)")
     return SpectralCoefficients(encode(basis, p), basis.fingerprint)
+
+
+def _check_basis(basis: SpectralBasis, coeffs: SpectralCoefficients) -> None:
+    """Coefficients of ``basis``: one fingerprint, then one M; else ValueError."""
+    _check_fingerprint(basis.fingerprint, coeffs.basis_fingerprint, "basis and coefficients")
+    if coeffs.m != basis.m:
+        raise ValueError(f"coefficients M={coeffs.m} but basis M={basis.m}")
 
 
 def reconstruct_geometry(
@@ -642,15 +656,20 @@ def reconstruct_geometry(
     ``subset=None`` uses all M indices. An empty subset yields an all-zero
     geometry with a warning rather than an error.
     """
-    _check_fingerprint(basis.fingerprint, coeffs.basis_fingerprint,
-                       "basis and coefficients")
-    if coeffs.m != basis.m:
-        raise ValueError(f"coefficients M={coeffs.m} but basis M={basis.m}")
+    _check_basis(basis, coeffs)
     if subset is None:
         return decode(basis, coeffs.values)
-    subset = np.asarray(subset, dtype=np.int64)
+    subset = _rows(subset, basis.m, "basis")
     if subset.size == 0:
         warnings.warn("empty index subset: reconstructing all-zero geometry")
         return np.zeros((basis.n, 3))
-    # clipped, so that decode rejects an out-of-range index with ValueError
-    return decode(basis, coeffs.values.take(subset, axis=0, mode="clip"), subset)
+    return basis.eigenvectors[:, subset] @ coeffs.values[subset]
+
+
+def _truncation_rms(basis: SpectralBasis, coeffs: SpectralCoefficients, subset) -> float:
+    """The error of ``reconstruct_geometry(basis, coeffs, subset)`` by Parseval:
+    sqrt(sum of |alpha_i|^2 / N) over the rows i left out, summed over them
+    rather than as the total minus the kept rows, which cancels."""
+    _check_basis(basis, coeffs)
+    left_out = np.delete(coeffs.values, _rows(subset, basis.m, "basis"), axis=0)
+    return float(np.sqrt(np.sum(left_out ** 2) / basis.n))

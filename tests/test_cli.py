@@ -1148,11 +1148,18 @@ class TestInputFiles:
          "must be numbers, got True"),
         (lambda doc: json.dumps({**doc, "threshold_t": "0.5"}), "must be numbers, got '0.5'"),
         (lambda doc: json.dumps({**doc, "threshold_t": True}), "must be numbers, got True"),
+        # JSON integers too large for a float64
+        (lambda doc: json.dumps(
+            {**doc, "entries": [{**doc["entries"][0], "alpha_x": 10**400}]}),
+         "ValueError: descriptor triples and threshold must be finite"),
+        (lambda doc: json.dumps({**doc, "threshold_t": 10**400}),
+         "ValueError: descriptor triples and threshold must be finite"),
     ], ids=["not JSON", "entries are numbers", "index is not a number",
             "no entries", "alpha_x is NaN", "threshold is infinite",
             "label is a number", "index is negative", "index is not an integer",
             "index overflows int64", "alpha_x is a string", "alpha_x is a bool",
-            "threshold is a string", "threshold is a bool"])
+            "threshold is a string", "threshold is a bool", "alpha_x overflows float64",
+            "threshold overflows float64"])
     def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, _, coeffs = pipeline
         desc = tmp_path / "d.json"

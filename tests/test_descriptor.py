@@ -166,6 +166,14 @@ class TestCompletion:
         np.testing.assert_array_equal(once.indices, twice.indices)
         np.testing.assert_array_equal(once.triples, twice.triples)
 
+    @pytest.mark.parametrize("indices, augment", [([-1], False), ([10], False),
+                                                  ([0], True)])
+    def test_index_out_of_range_rejected(self, indices, augment):
+        # with augment, rows 0 and 1 are checked too: M=1 has no row 1
+        m = 1 if augment else 10
+        with pytest.raises(ValueError, match=rf"index out of coefficient range \[0, {m}\)"):
+            sd.complete_descriptor(indices, coeffs_of(np.ones((m, 3))), augment=augment)
+
     def test_oversized_descriptor_warns(self):
         c = coeffs_of(np.ones((10, 3)))
         with pytest.warns(UserWarning, match="not compact"):

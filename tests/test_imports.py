@@ -2,9 +2,10 @@
 helper that nothing in the package reads, imports scipy when it is
 imported, validates again triangles that another mesh already holds,
 freezes a constructor's array by hand, checks a fingerprint's format
-outside ``_files._fingerprint``, or names a file it reads in a message of its
-own rather than through ``_files.reading``; the CLI imports no private name
-of the package."""
+outside ``_files._fingerprint``, names a file it reads in a message of its
+own rather than through ``_files.reading``, or range-checks eigenvector
+indices outside ``spectral._rows``; the CLI imports no private name of the
+package."""
 
 import ast
 import re
@@ -264,3 +265,49 @@ def test_every_loader_names_its_file_through_reading():
                        "descriptor.DeformationDescriptor.load",
                        "spectral.SpectralCoefficients.load_csv",
                        "spectral.SpectralBasis.load"}
+
+
+def _m_range_checks(tree: ast.Module) -> set[str]:
+    """Names of the functions holding a comparison of an array's ``.min()`` or
+    ``.max()`` with an M: a name ``m``, an attribute ``.m`` or a ``.shape[1]``."""
+    def is_m(node):
+        return (isinstance(node, ast.Name) and node.id == "m"
+                or isinstance(node, ast.Attribute) and node.attr == "m"
+                or ast.unparse(node).endswith(".shape[1]"))
+
+    def is_extremum(node):
+        return (isinstance(node, ast.Call) and not node.args and not node.keywords
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("min", "max"))
+
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(is_extremum(a) for a in [node.left, *node.comparators])
+        and any(is_m(a) for a in [node.left, *node.comparators])
+    }
+
+
+def test_one_rule_checks_eigenvector_indices():
+    # the decodes, the reconstruction error, descriptors and similarity scores
+    # hold an index in [0, M) through spectral._rows, so none clips an index
+    # or words the range check its own way
+    checks, callers, clipped = set(), set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        checks |= {f"{path.stem}.{name}" for name in _m_range_checks(tree)}
+        callers |= {f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    and any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_rows"
+                            for n in ast.walk(fn))}
+        clipped += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.keyword) and node.arg == "mode"
+                    and isinstance(node.value, ast.Constant) and node.value.value == "clip"]
+    assert checks == {"spectral._rows"}
+    assert callers == {"spectral.decode", "spectral.reconstruct_geometry",
+                       "spectral._truncation_rms", "descriptor.complete_descriptor",
+                       "retrieval._scores"}
+    assert clipped == []

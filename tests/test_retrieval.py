@@ -68,6 +68,12 @@ class TestCosine:
         with pytest.raises(FingerprintMismatchError):
             cosine(desc, other)
 
+    def test_index_beyond_the_candidates_m(self, simple):
+        # the descriptor's index 3 is a row of a 4-row basis, not of a 3-row one
+        _, desc = simple
+        with pytest.raises(ValueError, match=r"index out of coefficient range \[0, 3\)"):
+            cosine(desc, coeffs_of(np.ones((3, 3))))
+
 
 class TestRanking:
     def test_single_shape(self, simple):
