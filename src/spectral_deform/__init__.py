@@ -1,13 +1,5 @@
 """Spectral representation and compact descriptors for mesh deformations."""
 
-import os as _os
-
-# honor the thread cap before BLAS gets initialized by numpy/scipy
-_threads = _os.environ.get("SPECTRAL_DEFORM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .mesh import (
     MeshError,
     TriangleMesh,

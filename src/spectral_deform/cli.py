@@ -161,7 +161,11 @@ def cmd_reconstruct(args) -> int:
 def cmd_filter(args) -> int:
     desc = DeformationDescriptor.load(args.descriptor)
     stack = load_coeff_dir(args.coeffs_dir)
-    ranking = rank_bundle(desc, stack)
+    try:
+        ranking = rank_bundle(desc, stack)
+    except ValueError as e:  # of the same class, so a fingerprint mismatch stays one
+        raise type(e)(f"descriptor JSON {args.descriptor} and coefficient directory "
+                      f"{args.coeffs_dir}: {e}") from e
     n = len(ranking.ids)
     if args.top_k is not None or args.min_score is not None:
         # a prefix of the ranking; filter_bundle ranks the bundle again

@@ -5,8 +5,9 @@ magnitude (or magnitude of difference to an undeformed baseline) exceeds a
 threshold, stored together with the full (ax, ay, az) triple per index.
 Thresholding is applied to absolute values: selection is about contribution
 magnitude, and large negative coefficients matter as much as positive ones.
-``build_descriptor`` makes one; ``compare_reconstructions`` judges it
-against the eigenvalue-ordered truncation of the same size.
+``build_descriptor`` makes one, also for ``tune_threshold`` once it has
+picked the threshold; ``compare_reconstructions`` judges it against the
+eigenvalue-ordered truncation of the same size.
 The error of a subset is against the reconstruction from all M
 coefficients. The basis is orthonormal (``eigendecompose`` checks it), so by
 Parseval that error is the RMS energy of the rows left out, and the library
@@ -27,6 +28,7 @@ from ._files import _fingerprint, _frozen, open_new, reading
 from .spectral import (
     SpectralBasis,
     SpectralCoefficients,
+    _check_basis,
     _check_fingerprint,
     _rows,
     _truncation_rms,
@@ -164,11 +166,6 @@ def select_by_threshold(coeffs: SpectralCoefficients, t: float) -> np.ndarray:
     return idx
 
 
-def _augmented(indices: np.ndarray, augment: bool) -> np.ndarray:
-    """``indices``, with eigenvectors 0 and 1 unioned in when ``augment``."""
-    return np.union1d(indices, [0, 1]) if augment else indices
-
-
 def complete_descriptor(
     indices: np.ndarray,
     coeffs: SpectralCoefficients,
@@ -183,8 +180,8 @@ def complete_descriptor(
     unioned in so reconstructions keep the global position and tilt.
     Warns when the descriptor is not actually compact (> 10% of M).
     """
-    idx = _rows(_augmented(np.unique(np.asarray(indices, dtype=np.int64)), augment),
-                coeffs.m, "coefficient")
+    idx = np.unique(np.asarray(indices, dtype=np.int64))
+    idx = _rows(np.union1d(idx, [0, 1]) if augment else idx, coeffs.m, "coefficient")
     if idx.size > 0.1 * coeffs.m:
         warnings.warn(
             f"descriptor has {idx.size} indices, more than 10% of M={coeffs.m}; "
@@ -234,17 +231,14 @@ def reconstruction_error(
     subset: np.ndarray | None,
     reference: np.ndarray,
 ) -> float:
-    """RMS per-vertex Euclidean error of a subset reconstruction vs. reference."""
+    """RMS per-vertex Euclidean error of ``reconstruct_geometry(basis, coeffs,
+    subset)`` vs. reference; ``subset=None`` uses all M indices."""
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape != (basis.n, 3):
         raise ValueError(
             f"reference has shape {reference.shape}, expected ({basis.n}, 3)"
         )
-    subset = np.asarray([] if subset is None else subset, dtype=np.int64)
-    if subset.size == 0:
-        recon = np.zeros((basis.n, 3))
-    else:
-        recon = reconstruct_geometry(basis, coeffs, subset)
+    recon = reconstruct_geometry(basis, coeffs, subset)
     return float(np.sqrt(np.mean(np.sum((recon - reference) ** 2, axis=1))))
 
 
@@ -287,8 +281,9 @@ def tune_threshold(
     ``augment``); the fewest levels within ``target_rms`` are kept. Keeping
     all leaves out only zero rows, an error of exactly 0, so every target >= 0
     is met. t lies just below the smallest kept level: the largest threshold
-    that selects those rows. Returns (t, descriptor, achieved_rms); all-zero
-    coefficients raise EmptySelectionError.
+    that selects those rows, which ``build_descriptor`` then does. Returns
+    (t, descriptor, achieved_rms); all-zero coefficients raise
+    EmptySelectionError.
     """
     if not target_rms >= 0:
         raise ValueError(f"target_rms must be >= 0, got {target_rms}")
@@ -303,7 +298,8 @@ def tune_threshold(
     per_level = np.bincount(level_of, energy, levels.size)
     rms = np.sqrt(np.concatenate(([0.0], np.cumsum(per_level[:-1]))) / basis.n)
     k = np.flatnonzero(rms <= target_rms)[-1]
-    rows = _augmented(np.flatnonzero(row_max >= levels[k]), augment)
-    achieved = _truncation_rms(basis, coeffs, rows)
+    # a basis that does not fit fails before the build can warn
+    _check_basis(basis, coeffs)
     t = float(np.nextafter(levels[k], 0))
-    return t, complete_descriptor(rows, coeffs, threshold=t, label=label), achieved
+    desc = build_descriptor(coeffs, threshold=t, augment=augment, label=label)
+    return t, desc, _truncation_rms(basis, coeffs, desc.indices)

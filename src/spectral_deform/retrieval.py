@@ -157,9 +157,10 @@ def cluster_coefficients(
 ) -> ClusterAssignment:
     """k-means over per-shape coefficient features.
 
-    ``feature`` is "first_eigenvector_xyz" (the 3 coefficients of the first
-    eigenvector, enough to separate coarse deformation modes) or "first_m"
-    (the flattened first ``m`` triples, 1 <= m <= M). Seeded k-means++
+    ``feature`` is "first_m" (the flattened first ``m`` triples, 1 <= m <=
+    M) or "first_eigenvector_xyz", which is "first_m" with m = 1: the 3
+    coefficients of the first eigenvector, enough to separate coarse
+    deformation modes (a given ``m`` is ignored). Seeded k-means++
     initialization and Lloyd iterations until the relative inertia change
     drops below 1e-6.
     """
@@ -168,14 +169,13 @@ def cluster_coefficients(
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= {n} shapes, got k={k}")
     if feature == "first_eigenvector_xyz":
-        x = values[:, 0]
-    elif feature == "first_m":
-        if m is None or not 1 <= m <= values.shape[1]:
-            raise ValueError(f"feature 'first_m' needs 1 <= m <= M={values.shape[1]}, "
-                             f"got {m}")
-        x = values[:, :m].reshape(n, -1)
-    else:
+        m = 1
+    elif feature != "first_m":
         raise ValueError(f"unknown feature {feature!r}")
+    elif m is None or not 1 <= m <= values.shape[1]:
+        raise ValueError(f"feature 'first_m' needs 1 <= m <= M={values.shape[1]}, "
+                         f"got {m}")
+    x = values[:, :m].reshape(n, -1)
     if len(np.unique(x, axis=0)) < k:
         raise ValueError(f"only {len(np.unique(x, axis=0))} distinct points for k={k}")
     rng = np.random.default_rng(seed)

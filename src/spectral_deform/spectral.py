@@ -659,11 +659,11 @@ def reconstruct_geometry(
     _check_basis(basis, coeffs)
     if subset is None:
         return decode(basis, coeffs.values)
+    # checked here too: a negative index would count from the end of values
     subset = _rows(subset, basis.m, "basis")
     if subset.size == 0:
         warnings.warn("empty index subset: reconstructing all-zero geometry")
-        return np.zeros((basis.n, 3))
-    return basis.eigenvectors[:, subset] @ coeffs.values[subset]
+    return decode(basis, coeffs.values[subset], subset)
 
 
 def _truncation_rms(basis: SpectralBasis, coeffs: SpectralCoefficients, subset) -> float:

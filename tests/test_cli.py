@@ -417,6 +417,35 @@ class TestFilter:
         assert code == 2
         assert "different bases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("index M", "index out of coefficient range [0, 40)"),
+        ("another basis",
+         "descriptor and candidate coefficients come from different bases"),
+    ])
+    def test_descriptor_that_does_not_fit_names_both_inputs(
+        self, fault, message, pipeline, other_bases, tmp_path, capsys
+    ):
+        # both inputs read well on their own, so the error names the pair
+        _, _, _, coeffs = pipeline
+        source = other_bases["uniform"] if fault == "another basis" else coeffs
+        desc = tmp_path / "d.json"
+        assert main(["descriptor", "--coeffs", os.path.join(source, "006.csv"),
+                     "--out", str(desc)]) == 0
+        if fault == "index M":
+            doc = json.loads(desc.read_text())
+            doc["entries"].append({**doc["entries"][-1], "index": 40})
+            desc.write_text(json.dumps(doc))
+        argv = ["filter", "--descriptor", str(desc), "--coeffs-dir", coeffs,
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        assert (f"error: descriptor JSON {desc} and coefficient directory {coeffs}: "
+                f"{message}") in capsys.readouterr().err
+        # the library's exception class is kept
+        kind = (spectral.FingerprintMismatchError if fault == "another basis"
+                else ValueError)
+        with pytest.raises(ValueError) as caught:
+            cli.cmd_filter(cli.build_parser().parse_args(argv))
+        assert type(caught.value) is kind
 
     @pytest.mark.parametrize("top_k", ["0", "-1", "-9"])
     def test_top_k_below_one_exit_2(self, pipeline, tmp_path, capsys, top_k):

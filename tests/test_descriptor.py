@@ -14,6 +14,16 @@ def coeffs_of(values, fp="a0" * 32):
     return sd.SpectralCoefficients(np.asarray(values, dtype=float), fp)
 
 
+def of_another_basis(basis, coeffs, other):
+    """``coeffs`` as if of another basis, by ``other`` fingerprint or M, with
+    the error and message that the basis check raises."""
+    if other == "fingerprint":
+        return (coeffs_of(coeffs.values, fp="ff" * 32), FingerprintMismatchError,
+                "different bases")
+    return (sd.SpectralCoefficients(coeffs.values[:-1], basis.fingerprint), ValueError,
+            f"M={basis.m - 1} but basis M={basis.m}")
+
+
 @pytest.fixture(scope="module")
 def beam_setup(small_beam):
     L = sd.cotangent_laplacian(small_beam)
@@ -202,6 +212,20 @@ class TestReconstructionError:
         expect = np.sqrt(np.mean(np.sum(ref**2, axis=1)))
         assert err == pytest.approx(expect, rel=1e-12)
 
+    def test_no_subset_is_every_index(self, beam_setup):
+        # None means all M rows, as in reconstruct_geometry
+        _, basis, _, coeffs = beam_setup
+        ref = sd.reconstruct_geometry(basis, coeffs, None)
+        assert sd.reconstruction_error(basis, coeffs, None, ref) == 0.0
+
+    @pytest.mark.parametrize("other", ["fingerprint", "M"])
+    def test_empty_subset_of_another_basis_rejected(self, beam_setup, other):
+        _, basis, _, coeffs = beam_setup
+        ref = sd.reconstruct_geometry(basis, coeffs, None)
+        foreign, error, message = of_another_basis(basis, coeffs, other)
+        with pytest.raises(error, match=message):
+            sd.reconstruction_error(basis, foreign, [], ref)
+
     def test_descriptor_beats_eigenvalue_order(self, beam_setup):
         _, basis, _, coeffs = beam_setup
         t = sd.statistical_threshold(coeffs)
@@ -367,6 +391,17 @@ class TestTuneThresholdLevels:
         fewer = sd.SpectralCoefficients(coeffs.values[:-1], basis.fingerprint)
         with pytest.raises(ValueError, match=f"M={basis.m - 1} but basis M={basis.m}"):
             sd.tune_threshold(fewer, basis, 1.0)
+
+    @pytest.mark.parametrize("other", ["fingerprint", "M"])
+    def test_basis_checked_before_the_descriptor_is_built(self, beam_setup, other):
+        # a target of 0 keeps every row, which would warn "not compact" if the
+        # descriptor were built before the basis is checked
+        _, basis, _, coeffs = beam_setup
+        foreign, error, message = of_another_basis(basis, coeffs, other)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                sd.tune_threshold(foreign, basis, 0.0)
 
 
 class TestTruncationRms:

@@ -3,9 +3,10 @@ helper that nothing in the package reads, imports scipy when it is
 imported, validates again triangles that another mesh already holds,
 freezes a constructor's array by hand, checks a fingerprint's format
 outside ``_files._fingerprint``, names a file it reads in a message of its
-own rather than through ``_files.reading``, or range-checks eigenvector
-indices outside ``spectral._rows``; the CLI imports no private name of the
-package."""
+own rather than through ``_files.reading``, range-checks eigenvector
+indices outside ``spectral._rows``, or gives a library operation a second
+home (a partial sum outside ``spectral.decode``, a descriptor built outside
+``build_descriptor``); the CLI imports no private name of the package."""
 
 import ast
 import re
@@ -311,3 +312,26 @@ def test_one_rule_checks_eigenvector_indices():
                        "spectral._truncation_rms", "descriptor.complete_descriptor",
                        "retrieval._scores"}
     assert clipped == []
+
+
+def test_one_home_per_library_operation():
+    # the partial sum is spectral.decode, a descriptor is built by
+    # build_descriptor (tune_threshold only picks its threshold), and the
+    # cluster features are one slice of the first m triples
+    functions = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions += [(f"{path.stem}.{fn.name}", list(ast.walk(fn)))
+                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    products = {name for name, nodes in functions
+                if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                       and isinstance(n.left, ast.Subscript)
+                       and ast.unparse(n.left.value).endswith("eigenvectors")
+                       for n in nodes)}
+    assert products == {"spectral.decode"}
+    nodes = dict(functions)
+    assert "descriptor._augmented" not in nodes
+    assert any(isinstance(n, ast.Call) and ast.unparse(n.func) == "build_descriptor"
+               for n in nodes["descriptor.tune_threshold"])
+    assert sum(isinstance(n, ast.Subscript) and ast.unparse(n.value) == "values"
+               for n in nodes["retrieval.cluster_coefficients"]) == 1
