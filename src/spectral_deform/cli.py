@@ -3,10 +3,11 @@ reconstruct | filter | cluster.
 
 Stages communicate exclusively through files (bundle directory, SPBS basis,
 coefficient directory, descriptor JSON, ranking/assignment CSVs), so each
-stage is independently runnable and outputs are bitwise-stable given the
-same inputs and seeds. Each stage parses its arguments, loads its inputs,
-leaves the work to the library and saves what it returns; ``descriptor`` and
-``reconstruct`` are one library call each, so their rules live in the library.
+stage is independently runnable and outputs are bitwise-stable given the same
+inputs, seeds, BLAS build and thread count. Each stage parses its arguments,
+loads its inputs, leaves the work to the library and saves what it returns;
+``descriptor`` and ``reconstruct`` are one library call each, so their rules
+live in the library.
 
 ``encode`` writes a coefficient directory: one CSV per shape, then a binary
 stack of the shapes that ends with a copy of each CSV, then ``base.csv``.

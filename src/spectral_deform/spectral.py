@@ -4,7 +4,7 @@ A single basis (the first M eigenpairs of the base mesh operator, ascending
 eigenvalues, orthonormal eigenvectors) is shared by all deformed states of a
 bundle. Mesh functions and xyz coordinate columns are projected into the
 basis with plain transposes and reconstructed by partial sums. A basis file
-(SPBS) holds the basis arrays in the order memory holds them.
+(SPBS) holds its fingerprint, checked on load, and the arrays in memory order.
 
 All eigenvector indices are 0-based: index 0 is the constant null vector of
 a connected mesh, and one rule, ``_rows``, holds every given index in [0, M).
@@ -23,7 +23,6 @@ only read and write coefficients never import it.
 
 from __future__ import annotations
 
-import functools
 import glob
 import hashlib
 import io
@@ -31,7 +30,7 @@ import os
 import shutil
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,12 +74,12 @@ _BAND_CUT = 4
 _RESIDUAL_TOL = 1e-7
 _ORTHONORMALITY_TOL = 1e-8
 
-# a basis file: the header fields (magic, version, N, M, operator
-# fingerprint), then the (M,) eigenvalues and (N, M) eigenvectors, f64 LE in
-# C order; version 1, with column-major eigenvectors, is not read
+# a basis file: the header fields (magic, version, N, M, operator and basis
+# fingerprints), then the (M,) eigenvalues and (N, M) eigenvectors, f64 LE in
+# C order; versions 1 (column-major) and 2 (no basis fingerprint) are not read
 _SPBS_MAGIC = b"SPBS"
-_SPBS_VERSION = 2
-_SPBS_HEADER = "<4sIQQ32s"
+_SPBS_VERSION = 3
+_SPBS_HEADER = "<4sIQQ32s32s"
 
 _CSV_HEADER = "index,alpha_x,alpha_y,alpha_z\n"
 
@@ -106,14 +105,15 @@ class FingerprintMismatchError(ValueError):
 class SpectralBasis:
     """First M eigenpairs of a symmetric mesh operator.
 
-    Eigenvalues ascend; eigenvector columns are orthonormal and carry a
-    deterministic sign (largest-magnitude entry positive), so repeated
-    decompositions produce bitwise-identical coefficients.
+    Eigenvalues ascend; eigenvector columns are orthonormal, signed so that
+    the largest-magnitude entry is positive: repeated decompositions give
+    bitwise-identical coefficients with the same BLAS build and thread count.
     """
 
     eigenvalues: np.ndarray  # (M,)
     eigenvectors: np.ndarray  # (N, M)
     operator_fingerprint: str = ""
+    fingerprint: str = field(init=False)  # SHA-256 hex of the fields above, hashed once
 
     def __post_init__(self):
         vals, vecs = _frozen(self.eigenvalues), _frozen(self.eigenvectors)
@@ -125,6 +125,10 @@ class SpectralBasis:
             raise ValueError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
+        h = hashlib.sha256(self.operator_fingerprint.encode())
+        h.update(vals)  # the arrays' buffers, not a copy of them
+        h.update(vecs)
+        object.__setattr__(self, "fingerprint", h.hexdigest())
 
     @property
     def n(self) -> int:
@@ -134,24 +138,14 @@ class SpectralBasis:
     def m(self) -> int:
         return self.eigenvectors.shape[1]
 
-    @functools.cached_property
-    def fingerprint(self) -> str:
-        """SHA-256 hex digest of the operator fingerprint and the eigenpairs,
-        hashed when first read: a basis that is only saved is never hashed."""
-        h = hashlib.sha256(self.operator_fingerprint.encode())
-        # the arrays' buffers, not a copy of them
-        h.update(self.eigenvalues)
-        h.update(self.eigenvectors)
-        return h.hexdigest()
-
     def save(self, path) -> None:
         """Write the SPBS file: the header, then the eigenvalues and the
         eigenvectors as they are held, f64 LE in C order, one write each.
         ValueError unless the operator fingerprint is empty or a SHA-256 digest."""
         fp = bytes.fromhex(_fingerprint(self.operator_fingerprint) or "00" * 32)
         with open_new(path, binary=True) as f:
-            f.write(struct.pack(_SPBS_HEADER, _SPBS_MAGIC, _SPBS_VERSION,
-                                self.n, self.m, fp))
+            f.write(struct.pack(_SPBS_HEADER, _SPBS_MAGIC, _SPBS_VERSION, self.n,
+                                self.m, fp, bytes.fromhex(self.fingerprint)))
             for a in (self.eigenvalues, self.eigenvectors):
                 f.write(np.ascontiguousarray(a, "<f8"))  # a view, not a copy, on LE
 
@@ -159,15 +153,15 @@ class SpectralBasis:
     def load(cls, path) -> "SpectralBasis":
         """Read a SPBS file; ValueError naming it unless it has the SPBS magic
         and version, its length, checked before allocating, matches its
-        header, and it holds a basis. Each array is read straight into the
-        basis: loading holds the basis and nothing more."""
+        header, and it holds the basis it was saved with (by its fingerprint).
+        Each array is read straight into the basis: loading holds nothing else."""
         head = struct.calcsize(_SPBS_HEADER)
         with reading(path, "SPBS file"), open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             if size < head:
                 raise ValueError(f"truncated: expected at least {head} bytes for the "
                                  f"header, got {size}")
-            magic, version, n, m, fp = struct.unpack(_SPBS_HEADER, f.read(head))
+            magic, version, n, m, fp, saved = struct.unpack(_SPBS_HEADER, f.read(head))
             if magic != _SPBS_MAGIC:
                 raise ValueError(f"it is not a SPBS file (magic {magic!r})")
             if version != _SPBS_VERSION:
@@ -181,7 +175,11 @@ class SpectralBasis:
                 raise ValueError("it changed while it was read")
             for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
                 a.setflags(write=False)
-            return cls(vals, vecs, "" if fp == bytes(32) else fp.hex())
+            basis = cls(vals, vecs, "" if fp == bytes(32) else fp.hex())
+            if basis.fingerprint != saved.hex():
+                raise ValueError("its eigenpairs are not the ones it was saved with; "
+                                 "re-run decompose")
+            return basis
 
 
 @dataclass(frozen=True)

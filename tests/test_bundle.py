@@ -173,6 +173,11 @@ class TestGenerateBundle:
         np.testing.assert_array_equal(again.base.vertices, bundle.base.vertices)
         np.testing.assert_array_equal(again.states, bundle.states)
 
+    def test_manifest_of_another_version_rejected(self):
+        bundle = sd.generate_bundle(SMALL_BEAM, (1, 1, 1), seed=3)
+        with pytest.raises(ValueError, match="unsupported manifest version 2"):
+            sd.bundle_from_manifest({**bundle.manifest, "version": 2})
+
 
 class TestDiskFormat:
     def test_save_load(self, tmp_path):

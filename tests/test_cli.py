@@ -124,6 +124,25 @@ class TestDecompose:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault, message", [
+        (lambda vals, vecs: (vals, vecs * 1.001), "orthonormality error 0.002"),
+        (lambda vals, vecs: (np.full_like(vals, vals[0]), vecs),
+         "band 1: no spectral gap"),
+    ], ids=["orthonormality", "no spectral gap"])
+    def test_failed_check_exit_3(self, fault, message, pipeline, tmp_path,
+                                 monkeypatch, capsys):
+        _, bundle, _, _ = pipeline
+        real = spectral.eigsh
+        monkeypatch.setattr(spectral, "eigsh", lambda *a, **k: fault(*real(*a, **k)))
+        out = tmp_path / "x.spbs"
+        # 90 modes: banded at N=500, and more than one band
+        code = main(["decompose", "--bundle", bundle, "--modes", "90",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and message in err
+        assert not out.exists()
+
     def test_singular_factor_exit_3(self, pipeline, tmp_path, monkeypatch, capsys):
         real = sla.splu
         calls = []
@@ -574,12 +593,16 @@ def _old_load_csv(path):
     return np.array(rows)
 
 
-# data row 3 of a coefficient CSV, corrupted four ways
+# a coefficient CSV corrupted seven ways: each fault takes the comment and
+# header lines and the data rows, and gives the lines of the corrupted file
 CSV_FAULTS = {
-    "short_row": lambda rows: rows[:3] + ["3,1.0,2.0"] + rows[4:],
-    "non_numeric": lambda rows: rows[:3] + ["3,1.0,abc,2.0"] + rows[4:],
-    "reordered": lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:],
-    "missing_row": lambda rows: rows[:3] + rows[4:],
+    "short_row": lambda head, rows: head + rows[:3] + ["3,1.0,2.0"] + rows[4:],
+    "non_numeric": lambda head, rows: head + rows[:3] + ["3,1.0,abc,2.0"] + rows[4:],
+    "reordered": lambda head, rows: head + rows[:3] + [rows[4], rows[3]] + rows[5:],
+    "missing_row": lambda head, rows: head + rows[:3] + rows[4:],
+    "no_header": lambda head, rows: head[:-1] + rows,
+    "no_rows": lambda head, rows: head,
+    "three_fields": lambda head, rows: head + [r.rsplit(",", 1)[0] for r in rows],
 }
 
 
@@ -610,7 +633,7 @@ class TestCoefficientCsv:
         lines = target.read_text().splitlines()
         k = lines.index("index,alpha_x,alpha_y,alpha_z") + 1
         head, rows = lines[:k], lines[k:]
-        target.write_text("\n".join(head + CSV_FAULTS[request.param](rows)) + "\n")
+        target.write_text("\n".join(CSV_FAULTS[request.param](head, rows)) + "\n")
         return out
 
     def test_cluster_exit_2(self, corrupt_dir, tmp_path, capsys):
@@ -1025,6 +1048,25 @@ class TestStateConnectivity:
         assert len(validated) == 2
 
 
+BASIS_READERS = ["encode", "reconstruct", "descriptor --tune"]
+
+
+def _basis_reader(stage, pipeline, tmp_path):
+    """The arguments of a stage that reads a basis, all but ``--basis``."""
+    _, bundle, _, coeffs = pipeline
+    shape = os.path.join(coeffs, "006.csv")
+    desc = str(tmp_path / "d.json")
+    assert main(["descriptor", "--coeffs", shape, "--out", desc]) == 0
+    return {
+        "encode": ["encode", "--bundle", bundle, "--out", str(tmp_path / "c")],
+        "reconstruct": ["reconstruct", "--coeffs", shape, "--descriptor", desc,
+                        "--mesh", os.path.join(bundle, "base.off"),
+                        "--out", str(tmp_path / "recon")],
+        "descriptor --tune": ["descriptor", "--coeffs", shape, "--tune", "1.0",
+                              "--out", str(tmp_path / "t.json")],
+    }[stage]
+
+
 class TestInputFiles:
     """A malformed input file exits 2 with a message naming the file."""
 
@@ -1085,7 +1127,7 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("offset, patch, message", [
         (0, b"NOPE", "is not a SPBS file (magic b'NOPE')"),
-        (4, b"\x03", "has unsupported version 3; re-run decompose"),
+        (4, b"\x02", "has unsupported version 2; re-run decompose"),
     ], ids=["magic", "version"])
     def test_bad_basis_header_exit_2(self, offset, patch, message, pipeline,
                                      tmp_path, capsys):
@@ -1103,33 +1145,66 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert str(junk) in err and message in err
 
-    @pytest.mark.parametrize("stage", ["encode", "reconstruct", "descriptor --tune"])
-    def test_version_1_basis_exit_2(self, stage, pipeline, tmp_path, capsys):
-        """A basis file of version 1, whose eigenvectors are column-major,
-        is not read: every stage that reads a basis says to decompose again."""
-        _, bundle, basis, coeffs = pipeline
+    @staticmethod
+    def assert_old_version_exit_2(version, order, stage, pipeline, tmp_path, capsys):
+        """The pipeline's basis in the layout of an old version, with its
+        eigenvectors in ``order``: the stage says to decompose again."""
+        _, _, basis, _ = pipeline
         b = sd.SpectralBasis.load(basis)
-        old = tmp_path / "v1.spbs"
+        old = tmp_path / f"v{version}.spbs"
         old.write_bytes(
-            struct.pack("<4sIQQ32s", b"SPBS", 1, b.n, b.m,
+            struct.pack("<4sIQQ32s", b"SPBS", version, b.n, b.m,
                         bytes.fromhex(b.operator_fingerprint))
-            + b.eigenvalues.tobytes() + b.eigenvectors.tobytes("F"))
-        shape = os.path.join(coeffs, "006.csv")
-        desc = str(tmp_path / "d.json")
-        assert main(["descriptor", "--coeffs", shape, "--out", desc]) == 0
-        args = {
-            "encode": ["encode", "--bundle", bundle, "--out", str(tmp_path / "c")],
-            "reconstruct": ["reconstruct", "--coeffs", shape, "--descriptor", desc,
-                            "--mesh", os.path.join(bundle, "base.off"),
-                            "--out", str(tmp_path / "recon")],
-            "descriptor --tune": ["descriptor", "--coeffs", shape, "--tune", "1.0",
-                                  "--out", str(tmp_path / "t.json")],
-        }[stage]
+            + b.eigenvalues.tobytes() + b.eigenvectors.tobytes(order))
+        args = _basis_reader(stage, pipeline, tmp_path)
         capsys.readouterr()
         assert main(args + ["--basis", str(old)]) == 2
         err = capsys.readouterr().err
         assert f"SPBS file {old}: " in err
-        assert "unsupported version 1; re-run decompose" in err
+        assert f"unsupported version {version}; re-run decompose" in err
+
+    @pytest.mark.parametrize("stage", BASIS_READERS)
+    def test_version_1_basis_exit_2(self, stage, pipeline, tmp_path, capsys):
+        """A basis file of version 1, whose eigenvectors are column-major,
+        is not read: every stage that reads a basis says to decompose again."""
+        self.assert_old_version_exit_2(1, "F", stage, pipeline, tmp_path, capsys)
+
+    @pytest.mark.parametrize("stage", BASIS_READERS)
+    def test_version_2_basis_exit_2(self, stage, pipeline, tmp_path, capsys):
+        """Nor is one of version 2, whose header holds no basis fingerprint."""
+        self.assert_old_version_exit_2(2, "C", stage, pipeline, tmp_path, capsys)
+
+    @pytest.mark.parametrize("stage", BASIS_READERS)
+    def test_damaged_basis_exit_2(self, stage, pipeline, tmp_path, capsys):
+        """A basis whose eigenpairs are no longer the ones it was saved with
+        is not read: one flipped bit of one eigenvector entry exits 2."""
+        _, _, basis, _ = pipeline
+        damaged = tmp_path / "damaged.spbs"
+        shutil.copy(basis, damaged)
+        _flip(damaged, -3)  # a mantissa byte of the last eigenvector entry
+        args = _basis_reader(stage, pipeline, tmp_path)
+        capsys.readouterr()
+        assert main(args + ["--basis", str(damaged)]) == 2
+        err = capsys.readouterr().err
+        assert (f"SPBS file {damaged}: ValueError: its eigenpairs are not the ones "
+                "it was saved with; re-run decompose") in err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "recon").exists()
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("stage", ["filter", "cluster"])
+    def test_directory_without_shapes_exit_2(self, stage, pipeline, tmp_path, capsys):
+        _, _, _, coeffs = pipeline
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        shutil.copy(os.path.join(coeffs, "base.csv"), empty)  # not a shape
+        desc = str(tmp_path / "d.json")
+        assert main(["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+                     "--out", desc]) == 0
+        args = {"filter": ["filter", "--descriptor", desc],
+                "cluster": ["cluster", "-k", "3"]}[stage]
+        assert main(args + ["--coeffs-dir", str(empty),
+                            "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"error: no coefficient CSVs in {empty}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: "not json", "JSONDecodeError"),
@@ -1183,12 +1258,16 @@ class TestInputFiles:
          "ValueError: descriptor triples and threshold must be finite"),
         (lambda doc: json.dumps({**doc, "threshold_t": 10**400}),
          "ValueError: descriptor triples and threshold must be finite"),
+        (lambda doc: json.dumps({**doc, "entries": [doc["entries"][0]] * 2}),
+         "ValueError: descriptor indices must be strictly increasing"),
+        (lambda doc: json.dumps({**doc, "selection_mode": "random"}),
+         "ValueError: unknown selection mode 'random'"),
     ], ids=["not JSON", "entries are numbers", "index is not a number",
             "no entries", "alpha_x is NaN", "threshold is infinite",
             "label is a number", "index is negative", "index is not an integer",
             "index overflows int64", "alpha_x is a string", "alpha_x is a bool",
             "threshold is a string", "threshold is a bool", "alpha_x overflows float64",
-            "threshold overflows float64"])
+            "threshold overflows float64", "index repeated", "unknown selection mode"])
     def test_malformed_descriptor_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, _, coeffs = pipeline
         desc = tmp_path / "d.json"
@@ -1227,9 +1306,9 @@ class TestInputFiles:
             "SPBS": (spbs, encode + [str(spbs)]),
         }[loader]
         data = bytearray(bad.read_bytes())
-        if loader == "SPBS":  # the first eigenvalue, after the 56-byte header, above the second
-            second = np.frombuffer(data, "<f8", 1, offset=64)[0]
-            data[56:64] = np.array(second + 1.0, "<f8").tobytes()
+        if loader == "SPBS":  # the first eigenvalue, after the 88-byte header, above the second
+            second = np.frombuffer(data, "<f8", 1, offset=96)[0]
+            data[88:96] = np.array(second + 1.0, "<f8").tobytes()
             message = "eigenvalues must be ascending"
         else:  # a byte that starts no UTF-8 character
             data[:0] = b"\xff"

@@ -10,6 +10,7 @@ file is written with one, and a file read with one exits 2 naming it.
 """
 
 import ast
+import functools
 import json
 import sys
 from pathlib import Path
@@ -224,9 +225,9 @@ def test_csv_with_a_malformed_fingerprint_exit_2(stage, files, encoded, tmp_path
     assert f"coefficient CSV {csv}" in err and "SHA-256 hex digest" in err
 
 
-def test_decompose_hashes_no_basis(files, tmp_path, monkeypatch):
-    # the basis fingerprint is read by the stages that compare it, not by
-    # the one that only writes the basis
+def test_each_basis_is_hashed_once(files, tmp_path, monkeypatch):
+    # a basis hashes itself once, when it is made: decompose when it solves,
+    # load to check the file against the fingerprint it was saved with
     root, _ = files
     real, callers = spectral.hashlib.sha256, []
 
@@ -241,10 +242,11 @@ def test_decompose_hashes_no_basis(files, tmp_path, monkeypatch):
     out = tmp_path / "basis.spbs"
     assert main(["decompose", "--bundle", str(bundle), "--modes", "6",
                  "--out", str(out)]) == 0
-    # the one hash is the operator's, in laplacian.operator_fingerprint
-    assert callers == ["spectral_deform.laplacian"]
-    basis = sd.SpectralBasis.load(out)
-    assert callers == ["spectral_deform.laplacian"]
-    # hashed when first read, once
-    assert basis.fingerprint == basis.fingerprint
+    # the operator's, in laplacian.operator_fingerprint, then the basis's
     assert callers == ["spectral_deform.laplacian", "spectral_deform.spectral"]
+    basis = sd.SpectralBasis.load(out)
+    assert callers[2:] == ["spectral_deform.spectral"]
+    assert basis.fingerprint == basis.fingerprint
+    assert len(callers) == 3
+    assert not any(isinstance(a, functools.cached_property)
+                   for a in vars(sd.SpectralBasis).values())

@@ -171,6 +171,14 @@ OFF_CASES = {
         MeshError, "vertex line 1: expected 3 coordinates, got '1 0'"),
     "non-numeric coordinate": (
         _off(["0 0 0", "1 abc 0", "0 1 0"], ["3 0 1 2"]), ValueError, "could not convert"),
+    "counts on the header line": ("OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", None, None),
+    "empty": ("# only a comment\n", MeshError, "missing OFF header"),
+    "no header": (MIN_OFF.removeprefix("OFF\n"), MeshError, "missing OFF header"),
+    "no count line": ("OFF\n", MeshError, "missing OFF count line"),
+    "one count": (
+        MIN_OFF.replace("3 1 0", "3"), MeshError, "malformed OFF count line: '3'"),
+    "non-numeric count": (
+        MIN_OFF.replace("3 1 0", "3 x 0"), MeshError, "malformed OFF count line: '3 x 0'"),
 }
 
 

@@ -237,6 +237,34 @@ class TestVerification:
         with pytest.raises(EigensolverError, match="band 2 .*exactly singular"):
             sd.eigendecompose(L, 100, method="lanczos")
 
+    def test_scaled_lanczos_vectors_rejected(self, small_beam, monkeypatch):
+        # residual-clean, but each column has norm 1.001
+        real = spectral.eigsh
+
+        def scaled(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals, vecs * 1.001
+
+        monkeypatch.setattr(spectral, "eigsh", scaled)
+        L = sd.cotangent_laplacian(small_beam)
+        with pytest.raises(EigensolverError,
+                           match="orthonormality error 0.002 exceeds 1e-08"):
+            sd.eigendecompose(L, 40, method="lanczos")
+
+    def test_band_without_gap_names_band(self, small_beam, monkeypatch):
+        # a band of equal eigenvalues cannot be cut without splitting them
+        real = spectral.eigsh
+
+        def degenerate(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return np.full_like(vals, vals[0]), vecs
+
+        monkeypatch.setattr(spectral, "eigsh", degenerate)
+        L = sd.cotangent_laplacian(small_beam)
+        with pytest.raises(EigensolverError,
+                           match="band 1: no spectral gap among its 64 new eigenvalues"):
+            sd.eigendecompose(L, 100, method="lanczos")
+
     def test_perturbed_dense_vector_rejected(self, small_beam, monkeypatch):
         real = dla.eigh
 
@@ -512,7 +540,7 @@ class TestPersistence:
         path = tmp_path / "b.spbs"
         basis.save(path)
         data = path.read_bytes()
-        head = 56
+        head = 88
         data, expected = {
             "header": (data[:20], head),
             "values": (data[: head + 8 * basis.m // 2], len(data)),
@@ -527,11 +555,12 @@ class TestPersistence:
 
     def test_spbs_absurd_header_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "huge.spbs"
-        header = struct.pack("<4sIQQ32s", b"SPBS", 2, 2**31, 2**31, bytes(32))
+        header = struct.pack("<4sIQQ32s32s", b"SPBS", 3, 2**31, 2**31, bytes(32),
+                             bytes(32))
         path.write_bytes(header + bytes(8))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"{path}: .*wrong length.* got 64$"):
+            with pytest.raises(ValueError, match=f"{path}: .*wrong length.* got 96$"):
                 sd.SpectralBasis.load(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -557,12 +586,14 @@ class TestPersistence:
 
     @staticmethod
     def assert_spbs_golden(basis, path):
-        """The file is the header, the values, then the vectors in C order,
-        all f64 LE; its body is what the basis fingerprint hashes after the
-        operator fingerprint, and loading it gives the same bits back."""
+        """The file is the header, which holds the basis fingerprint, the
+        values, then the vectors in C order, all f64 LE; its body is what the
+        basis fingerprint hashes after the operator fingerprint, and loading
+        it gives the same bits back."""
         basis.save(path)
         fp = bytes.fromhex(basis.operator_fingerprint or "00" * 32)
-        header = struct.pack("<4sIQQ32s", b"SPBS", 2, basis.n, basis.m, fp)
+        header = struct.pack("<4sIQQ32s32s", b"SPBS", 3, basis.n, basis.m, fp,
+                             bytes.fromhex(basis.fingerprint))
         data = path.read_bytes()
         assert data == (header + basis.eigenvalues.astype("<f8").tobytes()
                         + basis.eigenvectors.astype("<f8").tobytes("C"))
