@@ -120,27 +120,22 @@ def _ring_profile(params: BeamParams) -> np.ndarray:
     cs = params.section_segments
     fl_sub = max(2, cs // 4)
     web_sub = max(2, cs // 3)
-    corners = [
+    corners = np.array([
         (-w / 2 - fl, 0.0),
         (-w / 2, 0.0),
         (-w / 2, h),
         (w / 2, h),
         (w / 2, 0.0),
         (w / 2 + fl, 0.0),
-    ]
-    subdiv = [fl_sub, web_sub, cs, web_sub, fl_sub]
-    pts = [corners[0]]
-    for (a, b), ns in zip(zip(corners[:-1], corners[1:]), subdiv):
-        for s in range(1, ns + 1):
-            f = s / ns
-            pts.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
-    # plate return from the last corner back to the first, endpoints shared
-    plate_sub = 2 * cs
-    a, b = corners[-1], corners[0]
-    for s in range(1, plate_sub):
-        f = s / plate_sub
-        pts.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
-    return np.array(pts)
+    ])
+    # the first corner, then points s / ns of the way along each side, s = 1..ns;
+    # the last side returns along the base plate to the first corner, not repeated
+    subdiv = [fl_sub, web_sub, cs, web_sub, fl_sub, 2 * cs]
+    side = np.repeat(np.arange(len(subdiv)), subdiv)
+    s = np.concatenate([np.arange(1, ns + 1) for ns in subdiv])
+    a, b = corners[side], np.roll(corners, -1, axis=0)[side]
+    pts = a + (s / np.repeat(subdiv, subdiv))[:, None] * (b - a)
+    return np.concatenate([corners[:1], pts[:-1]])
 
 
 def generate_hat_beam(params: BeamParams = BeamParams()) -> TriangleMesh:
@@ -158,22 +153,12 @@ def generate_hat_beam(params: BeamParams = BeamParams()) -> TriangleMesh:
             f"parameters produce N={n} vertices, outside the supported [500, 20000]"
         )
     x = np.linspace(0.0, params.length, na + 1)
-    verts = np.empty((n, 3))
-    verts[:, 0] = np.repeat(x, r)
-    verts[:, 1] = np.tile(ring[:, 0], na + 1)
-    verts[:, 2] = np.tile(ring[:, 1], na + 1)
-
-    tris = []
-    for a in range(na):
-        base0 = a * r
-        base1 = (a + 1) * r
-        for k in range(r):
-            k1 = (k + 1) % r
-            v00, v01 = base0 + k, base0 + k1
-            v10, v11 = base1 + k, base1 + k1
-            tris.append((v00, v01, v11))
-            tris.append((v00, v11, v10))
-    tris = np.array(tris, dtype=np.int64)
+    verts = np.column_stack([np.repeat(x, r), np.tile(ring, (na + 1, 1))])
+    # per station a and ring point k, the two triangles of the quad a, k to a + 1, k + 1
+    base0, k = np.arange(na, dtype=np.int64)[:, None] * r, np.arange(r)
+    v00, v01 = base0 + k, base0 + (k + 1) % r
+    v10, v11 = v00 + r, v01 + r
+    tris = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
     for a in (verts, tris):  # fresh, so that the mesh takes them without a copy
         a.setflags(write=False)
     return TriangleMesh(verts, tris)
@@ -288,10 +273,15 @@ def generate_bundle(
     return bundle_from_manifest(manifest)
 
 
-def bundle_from_manifest(manifest: dict) -> SimulationBundle:
-    """Regenerate a bundle bit-exactly from its manifest."""
+def _check_version(manifest: dict) -> None:
+    """The one manifest version rule: ValueError unless it is MANIFEST_VERSION."""
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {manifest.get('version')}")
+
+
+def bundle_from_manifest(manifest: dict) -> SimulationBundle:
+    """Regenerate a bundle bit-exactly from its manifest."""
+    _check_version(manifest)
     params = BeamParams(**manifest["beam_params"])
     base = generate_hat_beam(params)
     centroid = _ring_profile(params).mean(axis=0)
@@ -331,16 +321,17 @@ def save_bundle(directory, bundle: SimulationBundle) -> None:
 def load_bundle(directory) -> SimulationBundle:
     """Read a bundle directory back.
 
-    Raises ValueError naming the manifest if it is not JSON, lacks a key
-    read here or has such a field of the wrong type, and MeshError naming the
-    state and its file unless every state has the base's vertex count and
-    the base's triangles, in the same order. Only the base is validated as a
+    Raises ValueError naming the manifest if it is not JSON, lacks a key read
+    here, has such a field of the wrong type or another version, and MeshError
+    naming the state and its file unless every state has the base's vertex
+    count and triangles, in the same order. Only the base is validated as a
     mesh; the states share its triangles (``load_mesh(..., like=base)``).
     """
     path = os.path.join(directory, "manifest.json")
     with reading(path, "bundle manifest"), open(path) as f:
         manifest = json.load(f)
         labels = [entry["label"] for entry in manifest["states"]]
+        _check_version(manifest)  # a dict, as it has states
     base = load_mesh(os.path.join(directory, "base.off"))
     states = np.empty((len(labels), *base.vertices.shape))
     for i in range(len(labels)):

@@ -27,7 +27,6 @@ import glob
 import hashlib
 import io
 import os
-import shutil
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -202,14 +201,21 @@ class SpectralCoefficients:
     def m(self) -> int:
         return self.values.shape[0]
 
-    def save_csv(self, path) -> None:
-        with open_new(path) as f:
-            if self.basis_fingerprint:
-                f.write(f"# basis_fingerprint: {self.basis_fingerprint}\n")
-            f.write(f"# m: {self.m}\n")
-            f.write(_CSV_HEADER)
-            f.write("".join(f"{i},{x!r},{y!r},{z!r}\n"
-                            for i, (x, y, z) in enumerate(self.values.tolist())))
+    def to_csv(self) -> bytes:
+        """The text of the file ``save_csv`` writes: the comment lines, the
+        header and M rows of the index and each value's shortest repr."""
+        fp = self.basis_fingerprint
+        head = f"# basis_fingerprint: {fp}\n" if fp else ""
+        rows = "".join(f"{i},{x!r},{y!r},{z!r}\n"
+                       for i, (x, y, z) in enumerate(self.values.tolist()))
+        return f"{head}# m: {self.m}\n{_CSV_HEADER}{rows}".encode()
+
+    def save_csv(self, path) -> bytes:
+        """Write ``to_csv()`` to ``path``; return the bytes written."""
+        text = self.to_csv()
+        with open_new(path, binary=True) as f:
+            f.write(text)
+        return text
 
     @classmethod
     def load_csv(cls, path) -> "SpectralCoefficients":
@@ -294,11 +300,11 @@ def _stack_digest(fields: bytes, paths: list[str], sizes, body) -> bytes:
 
 
 def save_coeff_dir(directory, stack: CoefficientStack) -> None:
-    """Write each shape's coefficients to ``<id>.csv``, then the stack file.
+    """Write each shape's coefficients to ``<id>.csv``, and the stack file.
 
     The stack file holds the shapes in the order ``load_coeff_dir`` finds
-    their CSVs, sorted by name, then a copy of each CSV, read back one at a
-    time.
+    their CSVs, sorted by name, then a copy of each CSV: the bytes that
+    ``save_csv`` formatted once and wrote to the CSV, not read back.
 
     Raises ValueError before writing anything if an id would not be read back
     from its ``<id>.csv`` as that id (empty, repeated, holding a path
@@ -323,20 +329,22 @@ def save_coeff_dir(directory, stack: CoefficientStack) -> None:
                 f"{p} is a shape CSV of another bundle: encode into a new "
                 "directory or remove it"
             )
-    for p, k in zip(paths, order):
-        SpectralCoefficients(stack.values[k], fp).save_csv(p)
     body = np.ascontiguousarray(stack.values[order], "<f8")  # one copy, in name order
-    sizes = [os.path.getsize(p) for p in paths]
     fields = struct.pack(_STACK_HEADER, _STACK_MAGIC, _STACK_VERSION,
                          *stack.values.shape[:2], bytes.fromhex(fp or "00" * 32))
+    sizes = []
     with open_new(os.path.join(directory, _STACK_NAME), binary=True) as f:
+        # the copies first, one CSV's bytes held at a time, after room for the rest
+        f.seek(len(fields) + hashlib.sha256().digest_size + body.nbytes + 8 * len(paths))
+        for p, k in zip(paths, order):
+            text = SpectralCoefficients(stack.values[k], fp).save_csv(p)
+            f.write(text)
+            sizes.append(len(text))
+        f.seek(0)
         f.write(fields)
         f.write(_stack_digest(fields, paths, sizes, body))
         f.write(body)
         f.write(struct.pack(f"<{len(sizes)}Q", *sizes))
-        for p in paths:
-            with open(p, "rb") as csv:
-                shutil.copyfileobj(csv, f)
 
 
 def _read_stack(directory, paths: list[str], ids: list[str]) -> CoefficientStack | None:

@@ -36,6 +36,11 @@ class TestHatBeam:
         with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
             sd.BeamParams(**{name: float("inf")})
 
+    @pytest.mark.parametrize("name", ["axial_segments", "section_segments"])
+    def test_fewer_than_two_segments_rejected(self, name):
+        with pytest.raises(ValueError, match="segment counts must be >= 2"):
+            sd.BeamParams(**{name: 1})
+
     def test_vertex_ordering_axial_major(self, small_beam):
         x = small_beam.vertices[:, 0]
         # stations are contiguous blocks of constant x, ascending
@@ -47,6 +52,62 @@ class TestHatBeam:
     def test_n_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             sd.generate_hat_beam(sd.BeamParams(axial_segments=2, section_segments=2))
+
+
+def _loop_ring_profile(params):
+    """The cross-section built point by point in Python floats: the reference
+    that the array-built ``_ring_profile`` must equal bit for bit."""
+    w, h, fl = params.hat_width, params.hat_height, params.flange_width
+    cs = params.section_segments
+    corners = [(-w / 2 - fl, 0.0), (-w / 2, 0.0), (-w / 2, h), (w / 2, h),
+               (w / 2, 0.0), (w / 2 + fl, 0.0)]
+    subdiv = [max(2, cs // 4), max(2, cs // 3), cs, max(2, cs // 3), max(2, cs // 4)]
+    pts = [corners[0]]
+    for (a, b), ns in zip(zip(corners[:-1], corners[1:]), subdiv):
+        for s in range(1, ns + 1):
+            f = s / ns
+            pts.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
+    a, b = corners[-1], corners[0]
+    for s in range(1, 2 * cs):
+        f = s / (2 * cs)
+        pts.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
+    return np.array(pts)
+
+
+def _loop_triangles(na, r):
+    """The beam's triangles appended one by one: per station, per ring point,
+    the two triangles of its quad."""
+    tris = []
+    for a in range(na):
+        for k in range(r):
+            v00, v01 = a * r + k, a * r + (k + 1) % r
+            tris += [(v00, v01, v01 + r), (v00, v01 + r, v00 + r)]
+    return np.array(tris, dtype=np.int64)
+
+
+# the acceptance, large_mesh and smoke beams, two generate options and the
+# fewest section segments
+BEAMS = {
+    "acceptance": sd.BeamParams(),
+    "large_mesh": sd.BeamParams(axial_segments=200),
+    "smoke": SMALL_BEAM,
+    "hat_width_90": sd.BeamParams(hat_width=90.0),
+    "section_7_flange_9.3": sd.BeamParams(section_segments=7, flange_width=9.3),
+    "section_2": sd.BeamParams(section_segments=2),
+}
+
+
+@pytest.mark.parametrize("name", BEAMS)
+def test_array_built_beam_equals_the_loop_built_one(name):
+    params = BEAMS[name]
+    ring = sd.bundle._ring_profile(params)
+    expected = _loop_ring_profile(params)
+    assert ring.dtype == expected.dtype and ring.shape == expected.shape
+    assert ring.tobytes() == expected.tobytes()
+    tris = sd.generate_hat_beam(params).triangles
+    expected = _loop_triangles(params.axial_segments, len(ring))
+    assert tris.dtype == expected.dtype and tris.shape == expected.shape
+    assert tris.tobytes() == expected.tobytes()
 
 
 class TestApplyDeformation:
@@ -138,6 +199,11 @@ class TestGenerateBundle:
         b = sd.generate_bundle(SMALL_BEAM, (2, 2, 2), seed=42)
         assert a.manifest == b.manifest
         np.testing.assert_array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("per_mode", [(1, 1, 0), (0, 0, 2), (0, 0, 0)])
+    def test_fewer_than_three_states_rejected(self, per_mode):
+        with pytest.raises(ValueError, match="need at least 3 states in total"):
+            sd.generate_bundle(SMALL_BEAM, per_mode)
 
     def test_label_partition(self):
         bundle = sd.generate_bundle(SMALL_BEAM, (4, 3, 3), seed=1)

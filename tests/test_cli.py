@@ -1210,7 +1210,9 @@ class TestInputFiles:
         (lambda doc: "not json", "JSONDecodeError"),
         (lambda doc: json.dumps({**doc, "states": dict(enumerate(doc["states"]))}),
          "TypeError"),
-    ], ids=["not JSON", "states is an object"])
+        (lambda doc: json.dumps([doc]), "TypeError"),
+        (lambda doc: json.dumps({**doc, "version": 2}), "unsupported manifest version 2"),
+    ], ids=["not JSON", "states is an object", "a list", "version 2"])
     def test_malformed_manifest_exit_2(self, corrupt, message, pipeline, tmp_path, capsys):
         _, _, basis, _ = pipeline
         copy = _copy_bundle(pipeline, tmp_path)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -225,6 +226,13 @@ class TestReconstructionError:
         foreign, error, message = of_another_basis(basis, coeffs, other)
         with pytest.raises(error, match=message):
             sd.reconstruction_error(basis, foreign, [], ref)
+
+    @pytest.mark.parametrize("shape", [(500, 2), (499, 3), (1500,)])
+    def test_reference_of_another_shape_rejected(self, beam_setup, shape):
+        _, basis, _, coeffs = beam_setup
+        with pytest.raises(ValueError, match=re.escape(
+                f"reference has shape {shape}, expected (500, 3)")):
+            sd.reconstruction_error(basis, coeffs, None, np.zeros(shape))
 
     def test_descriptor_beats_eigenvalue_order(self, beam_setup):
         _, basis, _, coeffs = beam_setup
@@ -472,6 +480,11 @@ def test_descriptor_rejects_non_finite_numbers_and_a_label_not_str(field, value,
     args = {"indices": [0], "triples": [[1.0, 0.0, 0.0]], "threshold": 0.5, "label": "a"}
     with pytest.raises(ValueError, match=message):
         sd.DeformationDescriptor(**{**args, field: value})
+
+
+def test_descriptor_without_an_index_rejected():
+    with pytest.raises(EmptySelectionError, match="descriptor must contain at least one index"):
+        sd.DeformationDescriptor([], np.zeros((0, 3)), 0.5)
 
 
 @pytest.mark.parametrize("indices", [[-1], [0.7], [True], [0, True], [1.0, 2.0], [2**63]])

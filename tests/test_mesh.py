@@ -296,6 +296,17 @@ def test_mesh_with_base_triangles_as_a_validated_one(vertices):
     assert like.triangles is BEAM.triangles
 
 
+@pytest.mark.parametrize("vertices, triangles, message", [
+    (np.zeros((3, 2)), [[0, 1, 2]], r"vertices must be \(N, 3\), got \(3, 2\)"),
+    (np.zeros(9), [[0, 1, 2]], r"vertices must be \(N, 3\), got \(9,\)"),
+    (np.eye(3), [0, 1, 2], r"triangles must be \(F, 3\), got \(3,\)"),
+    (np.eye(3), [[0, 1, 2, 0]], r"triangles must be \(F, 3\), got \(1, 4\)"),
+])
+def test_arrays_of_another_shape_rejected(vertices, triangles, message):
+    with pytest.raises(MeshError, match=message):
+        sd.TriangleMesh(vertices, np.array(triangles))
+
+
 @pytest.mark.parametrize("shape", [(499, 3), (501, 3), (500, 2)])
 def test_with_vertices_rejects_another_shape(shape):
     with pytest.raises(MeshError, match=r"expected \(500, 3\) vertices"):

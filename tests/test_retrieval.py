@@ -228,6 +228,11 @@ class TestClustering:
         with pytest.raises(ValueError, match=f"1 <= m <= M=6, got {m}"):
             sd.cluster_coefficients(bundle, 2, feature="first_m", m=m)
 
+    def test_unknown_feature_rejected(self):
+        bundle, _ = self._blobs()
+        with pytest.raises(ValueError, match="unknown feature 'eigenvalues'"):
+            sd.cluster_coefficients(bundle, 2, feature="eigenvalues")
+
 
 class TestExports:
     def test_ranking_csv(self, tmp_path, simple):

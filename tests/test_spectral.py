@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import struct
 import tracemalloc
 import types
@@ -93,6 +94,21 @@ class TestEigendecompose:
             sd.eigendecompose(L, 26)
         with pytest.raises(ValueError):
             sd.eigendecompose(L, 0)
+
+    def test_unknown_method_rejected(self, grid_basis):
+        _, L, _ = grid_basis
+        with pytest.raises(ValueError, match="unknown method 'arpack'"):
+            sd.eigendecompose(L, 5, method="arpack")
+
+    @pytest.mark.parametrize("vals, vecs", [
+        (np.zeros((2, 1)), np.zeros((4, 2))),
+        (np.zeros(2), np.zeros(8)),
+        (np.zeros(3), np.zeros((4, 2))),
+    ], ids=["values 2-D", "vectors 1-D", "another M"])
+    def test_basis_of_inconsistent_shapes_rejected(self, vals, vecs):
+        with pytest.raises(ValueError, match=re.escape(
+                f"inconsistent basis shapes: {vals.shape} values, {vecs.shape} vectors")):
+            sd.SpectralBasis(vals, vecs)
 
 
 def traced_peak(f, *args):
@@ -333,6 +349,11 @@ class TestEncodeDecode:
             with pytest.raises(ValueError):
                 sd.encode(basis, np.ones(shape))
 
+    def test_decode_of_more_than_m_coefficients_rejected(self, grid_basis):
+        _, _, basis = grid_basis
+        with pytest.raises(ValueError, match="26 coefficients but basis has M=25"):
+            sd.decode(basis, np.ones((26, 3)))
+
 
 class TestGeometry:
     def test_consistency_with_per_axis_encode(self, grid_basis):
@@ -345,6 +366,13 @@ class TestGeometry:
                 sd.encode(basis, mesh.vertices[:, axis]),
                 atol=1e-10,
             )
+
+    @pytest.mark.parametrize("shape", [(25, 2), (26, 3), (75,)])
+    def test_coordinates_of_another_shape_rejected(self, grid_basis, shape):
+        _, _, basis = grid_basis
+        with pytest.raises(ValueError, match=re.escape(
+                f"coordinates have shape {shape}, expected (25, 3)")):
+            sd.encode_geometry(basis, np.zeros(shape))
 
     def test_translation_moves_only_first_coefficient(self, grid_basis):
         mesh, _, basis = grid_basis
@@ -631,6 +659,33 @@ class TestPersistence:
         assert again.basis_fingerprint == coeffs.basis_fingerprint
 
 
+class TestSpectralCoefficients:
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (2, 4, 3)])
+    def test_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficients must be (M, 3), got {shape}")):
+            sd.SpectralCoefficients(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        values = np.zeros((4, 3))
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            sd.SpectralCoefficients(values)
+
+    def test_csv_bytes(self, tmp_path):
+        # the comment lines, the header, then each value's shortest repr
+        coeffs = sd.SpectralCoefficients([[0.1, -2.0, 1e-300], [3.0, 1 / 3, -0.0]],
+                                         "ab" * 32)
+        rows = (b"# m: 2\nindex,alpha_x,alpha_y,alpha_z\n"
+                b"0,0.1,-2.0,1e-300\n1,3.0,0.3333333333333333,-0.0\n")
+        text = f"# basis_fingerprint: {'ab' * 32}\n".encode() + rows
+        assert coeffs.to_csv() == text
+        assert coeffs.save_csv(tmp_path / "c.csv") == text
+        assert (tmp_path / "c.csv").read_bytes() == text
+        assert sd.SpectralCoefficients(coeffs.values).to_csv() == rows
+
+
 class TestCoefficientStack:
     VALUES = np.arange(24.0).reshape(2, 4, 3)
 
@@ -690,3 +745,57 @@ class TestCoefficientStack:
         with pytest.raises(ValueError, match=f"shape id {bad!r} is empty, repeated"):
             sd.save_coeff_dir(tmp_path, sd.CoefficientStack(ids, values))
         assert list(tmp_path.iterdir()) == []
+
+    def test_save_opens_no_csv_for_reading(self, tmp_path, monkeypatch):
+        # each CSV is formatted once, for its file and for its copy in the stack
+        stack = sd.CoefficientStack(("b", "a"), self.VALUES / 7, "ab" * 32)
+        real_open, reads = open, []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if "r" in mode or "+" in mode:
+                reads.append(os.fspath(path))
+            return real_open(path, mode, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", recording_open)
+            sd.save_coeff_dir(tmp_path, stack)
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv", "coefficients.spcs"]
+        assert [p for p in reads if p.endswith(".csv")] == []
+
+    def test_stack_copies_and_sizes_are_the_csv_bytes(self, tmp_path):
+        ids, fp = ("b", "a", "c"), "ab" * 32
+        values = np.arange(36.0).reshape(3, 4, 3) / 7
+        sd.save_coeff_dir(tmp_path, sd.CoefficientStack(ids, values, fp))
+        data = (tmp_path / "coefficients.spcs").read_bytes()
+        # the header fields, the digest and the body, then the sizes and copies
+        offset = struct.calcsize("<4sIQQ32s") + 32 + values.nbytes
+        sizes = struct.unpack_from("<3Q", data, offset)
+        offset += 8 * len(ids)
+        for name, size in zip(sorted(ids), sizes):
+            csv = (tmp_path / f"{name}.csv").read_bytes()
+            assert csv == sd.SpectralCoefficients(values[ids.index(name)], fp).to_csv()
+            assert size == len(csv)
+            assert data[offset:offset + size] == csv
+            offset += size
+        assert offset == len(data)
+
+    def test_interrupted_save_leaves_no_usable_stack(self, tmp_path, monkeypatch):
+        # the stack's header is written last: a save cut short leaves zeros
+        # where its magic goes, so readers parse the CSVs instead
+        sd.save_coeff_dir(tmp_path, sd.CoefficientStack(("a", "b"), self.VALUES, "ab" * 32))
+        real_save, saved = sd.SpectralCoefficients.save_csv, []
+
+        def save_one_then_fail(coeffs, path):
+            if saved:
+                raise OSError("disk full")
+            saved.append(path)
+            return real_save(coeffs, path)
+
+        with monkeypatch.context() as m:
+            m.setattr(sd.SpectralCoefficients, "save_csv", save_one_then_fail)
+            with pytest.raises(OSError, match="disk full"):
+                sd.save_coeff_dir(tmp_path, sd.CoefficientStack(
+                    ("a", "b"), self.VALUES + 1, "ab" * 32))
+        assert (tmp_path / "coefficients.spcs").read_bytes()[:4] == bytes(4)
+        stack = sd.load_coeff_dir(tmp_path)
+        np.testing.assert_array_equal(stack.values, [self.VALUES[0] + 1, self.VALUES[1]])
