@@ -1,7 +1,9 @@
 """The one way the library opens a file for writing, the one way a loader
-names its file (``reading``), and the one way a constructor stores an array
-or a basis fingerprint: empty when unknown, else a SHA-256 hex digest, so no
-file carries a malformed one (``_fingerprint``)."""
+names its file (``reading``), the one way a float table is written as text
+(``float_rows``: each value's shortest round-trip ``repr``), and the one way
+a constructor stores an array or a basis fingerprint: empty when unknown,
+else a SHA-256 hex digest, so no file carries a malformed one
+(``_fingerprint``)."""
 
 from __future__ import annotations
 
@@ -30,6 +32,38 @@ def open_new(path, binary: bool = False):
     except FileNotFoundError:
         pass
     return open(path, "xb" if binary else "x")
+
+
+def float_rows(values, sep: str, index: bool = False) -> str:
+    """Each row of the 2-D float array ``values`` as one line: its values'
+    ``repr`` joined by ``sep``, led by the row index and ``sep`` when
+    ``index``. The text equals that f-string's for every input, non-finite
+    values included.
+
+    The text is orjson's, whose Ryu writer gives the shortest round-trip
+    form about 5x faster than ``repr``. For zero and for 1e-4 <= |x| < 1e16
+    it is ``repr``'s text; for other values it is not (``1e16`` for
+    ``1e+16``, ``null`` for ``nan``), so a row holding one is written by
+    ``repr`` instead.
+    """
+    # imported where it runs, as scipy is: importing orjson takes 6-13 ms,
+    # which ``import spectral_deform`` and the stages that write no table skip
+    import orjson
+
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"a float table must be 2-D, got shape {v.shape}")
+    if not len(v):
+        return ""
+    rows = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
+    a = np.abs(v)
+    other = ~((a >= 1e-4) & (a < 1e16) | (v == 0))
+    for r in np.flatnonzero(other.any(axis=1)).tolist():
+        rows[r] = ",".join(map(repr, v[r].tolist()))
+    if index:
+        rows = [f"{i},{row}" for i, row in enumerate(rows)]
+    text = "\n".join(rows) + "\n"
+    return text if sep == "," else text.replace(",", sep)
 
 
 @contextlib.contextmanager

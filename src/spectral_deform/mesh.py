@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import _frozen, open_new, reading
+from ._files import _frozen, float_rows, open_new, reading
 
 __all__ = [
     "MeshError",
@@ -234,14 +234,14 @@ def write_mesh(mesh: TriangleMesh) -> str:
     """Serialize a mesh to OFF text.
 
     Coordinates are written in shortest round-trip form (``repr`` of a
-    Python float), so they parse back to the same bits. The face section is
-    formatted once per set of triangles (see ``TriangleMesh.with_vertices``).
+    Python float, through ``_files.float_rows``), so they parse back to the
+    same bits. The face section is formatted once per set of triangles (see
+    ``TriangleMesh.with_vertices``).
     """
     if not np.isfinite(mesh.vertices).all():
         raise MeshError("refusing to serialize non-finite vertex coordinates")
-    out = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
-    out += [f"{a!r} {b!r} {c!r}" for a, b, c in mesh.vertices.tolist()]
-    return "\n".join(out) + "\n" + mesh._faces.off
+    head = f"OFF\n{mesh.n_vertices} {mesh.n_triangles} 0\n"
+    return head + float_rows(mesh.vertices, " ") + mesh._faces.off
 
 
 def _check_off_path(path) -> None:

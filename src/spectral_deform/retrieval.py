@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import open_new
+from ._files import float_rows, open_new
 from .descriptor import DeformationDescriptor
 from .spectral import CoefficientStack, _check_fingerprint, _rows
 
@@ -185,10 +185,15 @@ def cluster_coefficients(
 
 
 def write_ranking_csv(path, ranking: SimilarityRanking) -> None:
+    """One row per ranked shape, through ``csv.writer``: an id or a label
+    holding a comma, a quote or a newline is quoted, so ``csv.reader`` reads
+    it back whole, and any other row is the plain ``id,score,label``."""
+    import csv  # imported where it runs, as orjson is, not by ``import spectral_deform``
+
     with open_new(path) as f:
-        f.write("shape_id,score,label\n")
-        for i, s in ranking:
-            f.write(f"{i},{float(s)!r},{ranking.label}\n")
+        rows = csv.writer(f, lineterminator="\n")
+        rows.writerow(["shape_id", "score", "label"])
+        rows.writerows([i, repr(float(s)), ranking.label] for i, s in ranking)
 
 
 def write_assignment_csv(path, ids: list, assignment: ClusterAssignment) -> None:
@@ -202,5 +207,4 @@ def write_scatter_data(path, bundle: CoefficientStack) -> None:
     """First-eigenvector xyz coefficients per shape, gnuplot-compatible."""
     with open_new(path) as f:
         f.write("# alpha_x alpha_y alpha_z\n")
-        for x, y, z in CoefficientStack.of(bundle).values[:, 0]:
-            f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+        f.write(float_rows(CoefficientStack.of(bundle).values[:, 0], " "))

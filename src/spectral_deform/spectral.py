@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._files import _fingerprint, _frozen, open_new, reading
+from ._files import _fingerprint, _frozen, float_rows, open_new, reading
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -203,11 +203,11 @@ class SpectralCoefficients:
 
     def to_csv(self) -> bytes:
         """The text of the file ``save_csv`` writes: the comment lines, the
-        header and M rows of the index and each value's shortest repr."""
+        header and M rows of the index and each value's shortest repr
+        (``_files.float_rows``)."""
         fp = self.basis_fingerprint
         head = f"# basis_fingerprint: {fp}\n" if fp else ""
-        rows = "".join(f"{i},{x!r},{y!r},{z!r}\n"
-                       for i, (x, y, z) in enumerate(self.values.tolist()))
+        rows = float_rows(self.values, ",", index=True)
         return f"{head}# m: {self.m}\n{_CSV_HEADER}{rows}".encode()
 
     def save_csv(self, path) -> bytes:

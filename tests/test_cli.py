@@ -1368,16 +1368,29 @@ def test_rerun_replaces_outputs(stage, pipeline, tmp_path):
 
 
 # a fresh interpreter runs the given stages through cli.main and prints, per
-# stage, its exit code and whether scipy has been imported by then
+# stage, its exit code and whether the module named second has been imported
+# by then
 COLD_START = """\
 import json, sys
 import spectral_deform, spectral_deform.cli
-seen = [("import", 0, "scipy" in sys.modules)]
+module = sys.argv[2]
+seen = [("import", 0, module in sys.modules)]
 for argv in json.loads(sys.argv[1]):
     code = spectral_deform.cli.main(argv)
-    seen.append((argv[0], code, "scipy" in sys.modules))
+    seen.append((argv[0], code, module in sys.modules))
 print(json.dumps(seen))
 """
+
+
+def _cold_start(stages, module):
+    src = str(Path(sd.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(stages), module],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    return json.loads(out)
 
 
 class TestColdStart:
@@ -1396,14 +1409,7 @@ class TestColdStart:
             ["decompose", "--bundle", bundle, "--modes", "20",
              "--out", str(tmp_path / "b.spbs")],
         ]
-        src = str(Path(sd.__file__).parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-c", COLD_START, json.dumps(stages)],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        ).stdout
-        assert json.loads(out) == [
+        assert _cold_start(stages, "scipy") == [
             ["import", 0, False],
             ["descriptor", 0, False],
             ["descriptor", 0, False],
@@ -1411,6 +1417,28 @@ class TestColdStart:
             ["cluster", 0, False],
             # the eigensolve does need scipy
             ["decompose", 0, True],
+        ]
+
+    def test_only_float_table_writers_import_orjson(self, pipeline, tmp_path):
+        _, _, _, coeffs = pipeline
+        desc = str(tmp_path / "d.json")
+        stages = [
+            ["descriptor", "--coeffs", os.path.join(coeffs, "006.csv"),
+             "--augment", "--out", desc],
+            ["filter", "--descriptor", desc, "--coeffs-dir", coeffs,
+             "--top-k", "3", "--out", str(tmp_path / "r.csv")],
+            ["cluster", "--coeffs-dir", coeffs, "-k", "3",
+             "--out", str(tmp_path / "a.csv")],
+            ["cluster", "--coeffs-dir", coeffs, "-k", "3",
+             "--out", str(tmp_path / "a.csv"), "--scatter", str(tmp_path / "s.dat")],
+        ]
+        assert _cold_start(stages, "orjson") == [
+            ["import", 0, False],
+            ["descriptor", 0, False],
+            ["filter", 0, False],
+            ["cluster", 0, False],
+            # the scatter file is a float table
+            ["cluster", 0, True],
         ]
 
     def test_cached_parser_as_a_fresh_one_per_call(

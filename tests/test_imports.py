@@ -1,6 +1,6 @@
 """No library module imports a name it never reads, defines a private
-helper that nothing in the package reads, imports scipy when it is
-imported, validates again triangles that another mesh already holds,
+helper that nothing in the package reads, imports scipy or orjson when
+it is imported, validates again triangles that another mesh already holds,
 freezes a constructor's array by hand, checks a fingerprint's format
 outside ``_files._fingerprint``, names a file it reads in a message of its
 own rather than through ``_files.reading``, range-checks eigenvector
@@ -11,6 +11,8 @@ home (a partial sum outside ``spectral.decode``, a descriptor built outside
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import spectral_deform as sd
 
@@ -64,9 +66,9 @@ def test_no_private_helper_is_dead():
     assert dead == []
 
 
-def _import_time_scipy(tree: ast.Module) -> list[int]:
-    """Lines of scipy imports that run when the module is imported: those
-    outside function bodies and outside ``if TYPE_CHECKING:``."""
+def _import_time(tree: ast.Module, package: str) -> list[int]:
+    """Lines of imports of ``package`` that run when the module is imported:
+    those outside function bodies and outside ``if TYPE_CHECKING:``."""
     lines = []
 
     def visit(node):
@@ -84,7 +86,7 @@ def _import_time_scipy(tree: ast.Module) -> list[int]:
             names = [node.module]
         else:
             names = []
-        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+        if any(n == package or n.startswith(package + ".") for n in names):
             lines.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -93,15 +95,38 @@ def _import_time_scipy(tree: ast.Module) -> list[int]:
     return lines
 
 
+def _modules_importing_at_import_time(package: str) -> dict[str, list[int]]:
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _import_time(ast.parse(path.read_text(), str(path)), package)
+        if lines:
+            found[path.name] = lines
+    return found
+
+
 def test_no_module_imports_scipy_when_imported():
     # importing scipy.sparse alone takes about 70 ms; the stages that never
     # solve or validate (descriptor, filter, cluster) must not pay for it
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        lines = _import_time_scipy(ast.parse(path.read_text(), str(path)))
-        if lines:
-            found[path.name] = lines
-    assert found == {}
+    assert _modules_importing_at_import_time("scipy") == {}
+
+
+def test_no_module_imports_orjson_when_imported():
+    # importing orjson takes 6-13 ms (it pulls in json and zoneinfo):
+    # only a stage that writes a float table pays it, never the import of
+    # the package that perfbench's setup_s times
+    assert _modules_importing_at_import_time("orjson") == {}
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import orjson", [1]),
+    ("import numpy\nfrom orjson import dumps", [2]),
+    ("try:\n    import orjson.x\nexcept ImportError:\n    pass", [2]),
+    ("def f():\n    import orjson", []),
+    ("if TYPE_CHECKING:\n    import orjson\nelse:\n    import orjson", [4]),
+    ("import orjsonx\nfrom . import orjson", []),
+])
+def test_an_import_time_import_is_found(source, lines):
+    assert _import_time(ast.parse(source), "orjson") == lines
 
 
 def _revalidated_triangles(node, where=None):

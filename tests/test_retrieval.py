@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -243,6 +244,23 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "shape_id,score,label"
         assert lines[1].startswith("s0,")
+
+    def test_ranking_csv_bytes_of_a_plain_label(self, tmp_path):
+        ranking = sd.SimilarityRanking(("a", "b"), np.array([1.0, 1 / 3]), "bend")
+        sd.retrieval.write_ranking_csv(tmp_path / "r.csv", ranking)
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"shape_id,score,label\na,1.0,bend\nb,0.3333333333333333,bend\n")
+
+    @pytest.mark.parametrize("label", ['bend, "left"', 'say "hi"', "two\nlines",
+                                       "crlf\r\nend", ",", '"', ""])
+    def test_ranking_csv_reads_back_every_label_whole(self, tmp_path, label):
+        ranking = sd.SimilarityRanking(("a", "b,c"), np.array([1.0, -0.5]), label)
+        path = tmp_path / "r.csv"
+        sd.retrieval.write_ranking_csv(path, ranking)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows == [{"shape_id": "a", "score": "1.0", "label": label},
+                        {"shape_id": "b,c", "score": "-0.5", "label": label}]
 
     def test_assignment_csv(self, tmp_path):
         rng = np.random.default_rng(9)
