@@ -243,6 +243,8 @@ def generate_bundle(
     are built from it by ``bundle_from_manifest``, so regenerating a bundle
     from its manifest is bit-exact by construction.
     """
+    if len(n_per_mode) != 3 or min(n_per_mode) < 0:
+        raise ValueError(f"need 3 state counts, each >= 0, got {tuple(n_per_mode)}")
     if sum(n_per_mode) < 3:
         raise ValueError("need at least 3 states in total")
     if noise_sigma is None:

@@ -185,15 +185,20 @@ def cluster_coefficients(
 
 
 def write_ranking_csv(path, ranking: SimilarityRanking) -> None:
-    """One row per ranked shape, through ``csv.writer``: an id or a label
-    holding a comma, a quote or a newline is quoted, so ``csv.reader`` reads
-    it back whole, and any other row is the plain ``id,score,label``."""
-    import csv  # imported where it runs, as orjson is, not by ``import spectral_deform``
+    """One row per ranked shape, ``id,score,label``. An id or a label holding a
+    comma, a quote, a carriage return or a newline is quoted, its quotes
+    doubled, so ``csv.reader`` reads it back whole, and the bytes are the same
+    on every Python version (``csv.writer``'s quoting of a lone CR is not)."""
 
+    def field(text) -> str:
+        text = str(text)
+        needs_quotes = any(c in text for c in ',"\r\n')
+        return '"' + text.replace('"', '""') + '"' if needs_quotes else text
+
+    label = field(ranking.label)
     with open_new(path) as f:
-        rows = csv.writer(f, lineterminator="\n")
-        rows.writerow(["shape_id", "score", "label"])
-        rows.writerows([i, repr(float(s)), ranking.label] for i, s in ranking)
+        f.write("shape_id,score,label\n")
+        f.writelines(f"{field(i)},{float(s)!r},{label}\n" for i, s in ranking)
 
 
 def write_assignment_csv(path, ids: list, assignment: ClusterAssignment) -> None:

@@ -12,8 +12,8 @@ A subset's reconstruction error is taken by Parseval (``_truncation_rms``).
 
 A coefficient directory holds one CSV per shape, ``<id>.csv``, and the
 stack file ``coefficients.spcs``: the same coefficients as one binary
-(S, M, 3) array, followed by a verbatim copy of each CSV it was written
-from. The CSVs are authoritative; the stack is read only while every CSV
+(S, M, 3) array, followed by each CSV it was written from, led by its
+size. The CSVs are authoritative; the stack is read only while every CSV
 still equals its copy byte for byte, so a query reads the CSVs but neither
 parses nor hashes them.
 
@@ -83,12 +83,12 @@ _SPBS_HEADER = "<4sIQQ32s32s"
 _CSV_HEADER = "index,alpha_x,alpha_y,alpha_z\n"
 
 # a coefficient directory's stack file: the header fields (magic, version,
-# S, M, basis fingerprint) and the SHA-256 digest of those fields, of each
-# shape CSV's name and byte size and of the body; then the (S, M, 3) f64 LE
-# body, the S CSV sizes as u64 LE and each CSV's bytes, in name order
+# S, M, basis fingerprint) and the SHA-256 digest of those fields and of the
+# body; then the (S, M, 3) f64 LE body and, for each shape CSV in name order,
+# its byte size as u64 LE followed by its bytes
 _STACK_NAME = "coefficients.spcs"
 _STACK_MAGIC = b"SPCS"
-_STACK_VERSION = 2
+_STACK_VERSION = 3
 _STACK_HEADER = "<4sIQQ32s"
 
 
@@ -287,14 +287,9 @@ class CoefficientStack:
         return cls(ids, values, fp)
 
 
-def _stack_digest(fields: bytes, paths: list[str], sizes, body) -> bytes:
-    """SHA-256 of the stack's header fields, of each CSV's name and byte size
-    and of the stack body. The CSV text is compared with its copy, not hashed."""
+def _stack_digest(fields: bytes, body) -> bytes:
+    """SHA-256 of the stack's header fields and body; the CSVs are compared, not hashed."""
     h = hashlib.sha256(fields)
-    for p, size in zip(paths, sizes):
-        name = os.path.basename(p).encode()
-        h.update(struct.pack("<QQ", len(name), size))
-        h.update(name)
     h.update(body)
     return h.digest()
 
@@ -302,9 +297,10 @@ def _stack_digest(fields: bytes, paths: list[str], sizes, body) -> bytes:
 def save_coeff_dir(directory, stack: CoefficientStack) -> None:
     """Write each shape's coefficients to ``<id>.csv``, and the stack file.
 
-    The stack file holds the shapes in the order ``load_coeff_dir`` finds
-    their CSVs, sorted by name, then a copy of each CSV: the bytes that
-    ``save_csv`` formatted once and wrote to the CSV, not read back.
+    The stack file is written in one forward pass: the header, the digest and
+    the body, the shapes in the order ``load_coeff_dir`` finds their CSVs, by
+    name; then each CSV's size and bytes, as ``save_csv`` formatted them once
+    for the CSV, one CSV held at a time. A save cut short lacks copies.
 
     Raises ValueError before writing anything if an id would not be read back
     from its ``<id>.csv`` as that id (empty, repeated, holding a path
@@ -322,7 +318,6 @@ def save_coeff_dir(directory, stack: CoefficientStack) -> None:
                              "or starts with 'base' or '.': it would not be read back")
         names.add(name)
     order = sorted(range(len(stack.ids)), key=lambda k: f"{stack.ids[k]}.csv")
-    paths = [os.path.join(directory, f"{stack.ids[k]}.csv") for k in order]
     for p in _shape_csvs(directory):
         if os.path.basename(p) not in names:
             raise ValueError(
@@ -332,34 +327,29 @@ def save_coeff_dir(directory, stack: CoefficientStack) -> None:
     body = np.ascontiguousarray(stack.values[order], "<f8")  # one copy, in name order
     fields = struct.pack(_STACK_HEADER, _STACK_MAGIC, _STACK_VERSION,
                          *stack.values.shape[:2], bytes.fromhex(fp or "00" * 32))
-    sizes = []
     with open_new(os.path.join(directory, _STACK_NAME), binary=True) as f:
-        # the copies first, one CSV's bytes held at a time, after room for the rest
-        f.seek(len(fields) + hashlib.sha256().digest_size + body.nbytes + 8 * len(paths))
-        for p, k in zip(paths, order):
-            text = SpectralCoefficients(stack.values[k], fp).save_csv(p)
-            f.write(text)
-            sizes.append(len(text))
-        f.seek(0)
         f.write(fields)
-        f.write(_stack_digest(fields, paths, sizes, body))
+        f.write(_stack_digest(fields, body))
         f.write(body)
-        f.write(struct.pack(f"<{len(sizes)}Q", *sizes))
+        for k in order:
+            text = SpectralCoefficients(stack.values[k], fp).save_csv(
+                os.path.join(directory, f"{stack.ids[k]}.csv"))
+            f.write(struct.pack("<Q", len(text)))
+            f.write(text)
 
 
 def _read_stack(directory, paths: list[str], ids: list[str]) -> CoefficientStack | None:
     """The directory's stack, named ``ids``, if it was written from the CSVs
     at ``paths`` as they are now; else None.
 
-    Checked in this order, each check returning None when it fails: the
-    magic, the version and S against the number of CSVs; a file size that
-    holds the body and the CSV sizes, before either is allocated; a file size
-    equal to the header, the body, the sizes and the CSV bytes they state;
-    the digest of the header fields, the CSVs' names and sizes and the body;
-    each CSV, opened once, equal byte for byte to its copy; no bytes after
-    the last copy. So the stack is used only while every CSV is the text its
-    body was written from, and no CSV is hashed or parsed. The digest is
-    unkeyed: it finds a damaged stack, not a deliberate edit of it.
+    Read in one forward pass, each check returning None when it fails: the
+    magic, the version and S against the number of CSVs; a file long enough
+    for the body, before it is allocated; the digest of the header fields and
+    the body; then per CSV a size no larger than the file, and the CSV, opened
+    once, equal byte for byte to the copy of that size; no byte after the last
+    copy. So no CSV is hashed or parsed, and the stack is used only while each
+    is the text its body was written from. The digest is unkeyed: it finds a
+    damaged stack, not a deliberate edit of it.
     """
     fields = struct.calcsize(_STACK_HEADER)
     head = fields + hashlib.sha256().digest_size
@@ -367,32 +357,26 @@ def _read_stack(directory, paths: list[str], ids: list[str]) -> CoefficientStack
         with open(os.path.join(directory, _STACK_NAME), "rb", buffering=0) as f:
             size = os.fstat(f.fileno()).st_size
             header = f.read(head)
-            if len(header) != head:
-                return None
             magic, version, s, m, fp = struct.unpack_from(_STACK_HEADER, header)
             if (magic, version, s) != (_STACK_MAGIC, _STACK_VERSION, len(paths)):
                 return None
-            if size < head + 24 * s * m + 8 * s:
+            if size < head + 24 * s * m:
                 return None
             values = np.empty((s, m, 3), "<f8")
-            if f.readinto(values) != values.nbytes:
+            if (f.readinto(values) != values.nbytes
+                    or _stack_digest(header[:fields], values) != header[fields:]):
                 return None
-            raw = f.read(8 * s)
-            if len(raw) != 8 * s:
-                return None
-            sizes = struct.unpack(f"<{s}Q", raw)
-            if size != head + 24 * s * m + 8 * s + sum(sizes):
-                return None
-            if _stack_digest(header[:fields], paths, sizes, values) != header[fields:]:
-                return None
-            for p, n in zip(paths, sizes):
+            for p in paths:
+                (n,) = struct.unpack("<Q", f.read(8))
+                if n > size:
+                    return None
                 # bytes against bytes: comparing through a memoryview is slower
                 with open(p, "rb", buffering=0) as csv:
                     if csv.read(n + 1) != f.read(n):
                         return None
             if f.read(1):
                 return None
-    except OSError:
+    except (OSError, struct.error):  # unreadable, or cut inside a header or size
         return None
     values.setflags(write=False)  # fresh, so that the stack needs no copy
     return CoefficientStack(ids, values, "" if fp == bytes(32) else fp.hex())

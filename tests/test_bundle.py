@@ -205,6 +205,11 @@ class TestGenerateBundle:
         with pytest.raises(ValueError, match="need at least 3 states in total"):
             sd.generate_bundle(SMALL_BEAM, per_mode)
 
+    @pytest.mark.parametrize("per_mode", [(-5, 5, 5), (5, 5), (1, 1, 1, 1)])
+    def test_counts_other_than_three_non_negative_rejected(self, per_mode):
+        with pytest.raises(ValueError, match="need 3 state counts, each >= 0"):
+            sd.generate_bundle(SMALL_BEAM, per_mode)
+
     def test_label_partition(self):
         bundle = sd.generate_bundle(SMALL_BEAM, (4, 3, 3), seed=1)
         assert bundle.labels == (

@@ -86,6 +86,12 @@ class TestGenerate:
     def test_unwritable_dir_exit_2(self):
         assert main(GEN + ["--out", "/proc/nope/bundle"]) == 2
 
+    def test_negative_count_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(["generate", "--per-mode", "-5", "5", "5", "--out", str(out)]) == 2
+        assert "need 3 state counts, each >= 0, got (-5, 5, 5)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecompose:
     def test_basis_invariants(self, pipeline):
@@ -738,7 +744,7 @@ def _edit_keeping_size(path):
 
 
 def _stack_layout(path):
-    """(S, M, offset of the CSV sizes) of a stack file."""
+    """(S, M, offset of the first CSV's size) of a stack file."""
     s, m = struct.unpack_from("<QQ", path.read_bytes(), HEADER_FIELDS["s"])
     return s, m, HEADER_FIELDS["digest"] + 32 + 24 * s * m
 
@@ -753,6 +759,19 @@ def _swap(a, b):
     data = a.read_bytes()
     a.write_bytes(b.read_bytes())
     b.write_bytes(data)
+
+
+def _move_last_row(a, b):
+    """Move ``a``'s last row to the start of ``b``: their concatenation stays."""
+    lines = a.read_bytes().splitlines(keepends=True)
+    a.write_bytes(b"".join(lines[:-1]))
+    b.write_bytes(lines[-1] + b.read_bytes())
+
+
+def _set_first_size(path, size):
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, _stack_layout(path)[2], size)
+    path.write_bytes(bytes(data))
 
 
 # the same coefficient directory, made inconsistent with its stack
@@ -773,7 +792,12 @@ STACK_FAULTS = {
     "csv_appended": lambda d: (d / "003.csv").write_text(
         (d / "003.csv").read_text() + "# a comment\n"),
     "size_field_flipped": lambda d: _flip(d / STACK, _stack_layout(d / STACK)[2]),
+    # only the sizes tell this from the stack's copies
+    "row_moved_to_next_csv": lambda d: _move_last_row(d / "003.csv", d / "004.csv"),
+    "first_size_absurd": lambda d: _set_first_size(d / STACK, 2**62),
 }
+# parsing refuses these directories (exit 2), and so must a query of the stack
+PARSE_REFUSED = {"row_moved_to_next_csv"}
 
 
 class TestCoefficientStack:
@@ -875,7 +899,8 @@ class TestCoefficientStack:
         (plain / STACK).unlink(missing_ok=True)
         expected = self._outputs(plain, desc, capsys)
         assert self._outputs(faulty, desc, capsys) == expected
-        assert all(code == 0 for code, _, _ in expected.values())
+        assert all(code == (2 if fault in PARSE_REFUSED else 0)
+                   for code, _, _ in expected.values())
 
     def test_stack_absurd_header_ignored_before_allocating(self, pipeline, tmp_path):
         coeffs = _copy_coeffs(pipeline, tmp_path)
@@ -886,6 +911,18 @@ class TestCoefficientStack:
         try:
             assert _read_stack(coeffs) is None
             assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_stack_absurd_first_size_ignored_before_allocating(self, pipeline, tmp_path):
+        coeffs = _copy_coeffs(pipeline, tmp_path)
+        STACK_FAULTS["first_size_absurd"](coeffs)
+        s, m, _ = _stack_layout(coeffs / STACK)
+        tracemalloc.start()
+        try:
+            assert _read_stack(coeffs) is None
+            # the body, and nothing of what the size states
+            assert tracemalloc.get_traced_memory()[1] < 24 * s * m + 2**13
         finally:
             tracemalloc.stop()
 
@@ -920,8 +957,8 @@ class TestCoefficientStack:
         stack = sd.load_coeff_dir(coeffs)
         s, m, _ = _stack_layout(Path(coeffs) / STACK)
         assert stack.values.shape == (s, m, 3) == (len(paths), m, 3)
-        names = sum(16 + len(os.path.basename(p)) for p in paths)
-        assert 0 < hashed[0] <= HEADER_FIELDS["digest"] + names + 24 * s * m
+        # the header fields and the body, nothing else
+        assert hashed[0] == HEADER_FIELDS["digest"] + 24 * s * m
         assert sorted(p for p in opened if p.endswith(".csv")) == paths
 
     def test_directory_name_with_glob_characters(self, pipeline, tmp_path, capsys):

@@ -252,7 +252,7 @@ class TestExports:
             b"shape_id,score,label\na,1.0,bend\nb,0.3333333333333333,bend\n")
 
     @pytest.mark.parametrize("label", ['bend, "left"', 'say "hi"', "two\nlines",
-                                       "crlf\r\nend", ",", '"', ""])
+                                       "crlf\r\nend", "lone\rcr", ",", '"', ""])
     def test_ranking_csv_reads_back_every_label_whole(self, tmp_path, label):
         ranking = sd.SimilarityRanking(("a", "b,c"), np.array([1.0, -0.5]), label)
         path = tmp_path / "r.csv"

@@ -767,26 +767,36 @@ class TestCoefficientStack:
         values = np.arange(36.0).reshape(3, 4, 3) / 7
         sd.save_coeff_dir(tmp_path, sd.CoefficientStack(ids, values, fp))
         data = (tmp_path / "coefficients.spcs").read_bytes()
-        # the header fields, the digest and the body, then the sizes and copies
-        offset = struct.calcsize("<4sIQQ32s") + 32 + values.nbytes
-        sizes = struct.unpack_from("<3Q", data, offset)
-        offset += 8 * len(ids)
-        for name, size in zip(sorted(ids), sizes):
+        # the header fields, the digest of those fields and of the body, the
+        # body in name order, then each CSV's size followed by its bytes
+        fields = struct.pack("<4sIQQ32s", b"SPCS", 3, 3, 4, bytes.fromhex(fp))
+        body = np.array([values[ids.index(name)] for name in sorted(ids)], "<f8").tobytes()
+        assert data[:len(fields) + 32 + len(body)] == (
+            fields + hashlib.sha256(fields + body).digest() + body)
+        offset = len(fields) + 32 + len(body)
+        for name in sorted(ids):
             csv = (tmp_path / f"{name}.csv").read_bytes()
             assert csv == sd.SpectralCoefficients(values[ids.index(name)], fp).to_csv()
-            assert size == len(csv)
-            assert data[offset:offset + size] == csv
-            offset += size
+            assert struct.unpack_from("<Q", data, offset) == (len(csv),)
+            assert data[offset + 8:offset + 8 + len(csv)] == csv
+            offset += 8 + len(csv)
         assert offset == len(data)
 
-    def test_interrupted_save_leaves_no_usable_stack(self, tmp_path, monkeypatch):
-        # the stack's header is written last: a save cut short leaves zeros
-        # where its magic goes, so readers parse the CSVs instead
+    @staticmethod
+    def _read_stack(directory):
+        paths = spectral._shape_csvs(directory)
+        return spectral._read_stack(directory, paths,
+                                    [os.path.basename(p)[:-4] for p in paths])
+
+    def _save_cut_at_the_second_csv(self, tmp_path, monkeypatch, leave_it_empty):
+        """Save over a saved directory, failing as the second CSV is written."""
         sd.save_coeff_dir(tmp_path, sd.CoefficientStack(("a", "b"), self.VALUES, "ab" * 32))
         real_save, saved = sd.SpectralCoefficients.save_csv, []
 
         def save_one_then_fail(coeffs, path):
             if saved:
+                if leave_it_empty:
+                    open(path, "w").close()
                 raise OSError("disk full")
             saved.append(path)
             return real_save(coeffs, path)
@@ -796,6 +806,20 @@ class TestCoefficientStack:
             with pytest.raises(OSError, match="disk full"):
                 sd.save_coeff_dir(tmp_path, sd.CoefficientStack(
                     ("a", "b"), self.VALUES + 1, "ab" * 32))
-        assert (tmp_path / "coefficients.spcs").read_bytes()[:4] == bytes(4)
+
+    def test_interrupted_save_leaves_no_usable_stack(self, tmp_path, monkeypatch):
+        # the stack lacks the copy of the CSV the save did not write, so
+        # readers parse the CSVs instead
+        self._save_cut_at_the_second_csv(tmp_path, monkeypatch, leave_it_empty=False)
+        assert self._read_stack(tmp_path) is None
         stack = sd.load_coeff_dir(tmp_path)
         np.testing.assert_array_equal(stack.values, [self.VALUES[0] + 1, self.VALUES[1]])
+
+    def test_save_cut_in_an_empty_csv_leaves_no_usable_stack(self, tmp_path, monkeypatch):
+        # the stack ends where the empty CSV's size would go: a missing size
+        # is not a size of 0, so the empty CSV is parsed and refused
+        self._save_cut_at_the_second_csv(tmp_path, monkeypatch, leave_it_empty=True)
+        assert (tmp_path / "b.csv").read_bytes() == b""
+        assert self._read_stack(tmp_path) is None
+        with pytest.raises(ValueError, match="b.csv"):
+            sd.load_coeff_dir(tmp_path)
