@@ -42,7 +42,7 @@ from .descriptor import (
     tune_threshold,
 )
 from .laplacian import cotangent_laplacian, operator_fingerprint, uniform_laplacian
-from .mesh import load_mesh, save_mesh
+from .mesh import MeshError, load_mesh, save_mesh
 from .retrieval import (
     SimilarityRanking,
     cluster_coefficients,
@@ -67,6 +67,27 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_EMPTY = 4
+
+
+def _check_fits(basis: SpectralBasis, mesh, what: str, operators: bool = False) -> None:
+    """ValueError led by ``what`` unless the basis has the mesh's N and, with
+    ``operators``, an empty operator fingerprint or that of the mesh's
+    cotangent or uniform operator, the second built only when needed."""
+    if basis.n != mesh.n_vertices:
+        raise ValueError(f"{what}: the basis has N={basis.n}, the mesh N={mesh.n_vertices}")
+    fp = basis.operator_fingerprint
+    if operators and fp and fp not in _operator_fingerprints(mesh):
+        raise ValueError(f"{what}: its operator is neither Laplacian of the mesh")
+
+
+def _operator_fingerprints(mesh):
+    """The fingerprints of the mesh's cotangent and uniform operators, each
+    built when it is asked for."""
+    for laplacian in (cotangent_laplacian, uniform_laplacian):
+        try:
+            yield operator_fingerprint(laplacian(mesh))
+        except MeshError:  # degenerate triangles: only a uniform basis can fit
+            pass
 
 
 def cmd_generate(args) -> int:
@@ -102,6 +123,8 @@ def cmd_decompose(args) -> int:
 def cmd_encode(args) -> int:
     basis = SpectralBasis.load(args.basis)
     bundle = load_bundle(args.bundle)
+    _check_fits(basis, bundle.base,
+                f"SPBS file {args.basis} does not fit bundle {args.bundle}", operators=True)
     os.makedirs(args.out, exist_ok=True)
     s = len(bundle.states)
     # first the shapes: save_coeff_dir refuses a directory holding another
@@ -144,6 +167,7 @@ def cmd_reconstruct(args) -> int:
     coeffs = SpectralCoefficients.load_csv(args.coeffs)
     base = load_mesh(args.mesh)
     desc = DeformationDescriptor.load(args.descriptor)
+    _check_fits(basis, base, f"SPBS file {args.basis} does not fit mesh {args.mesh}")
     results = compare_reconstructions(basis, coeffs, desc)
     os.makedirs(args.out, exist_ok=True)
     for name, (coords, _) in results.items():

@@ -184,28 +184,30 @@ def cluster_coefficients(
     return ClusterAssignment(labels=labels, centroids=centers, inertia=inertia)
 
 
+def _csv_field(text) -> str:
+    """The one CSV quoting rule: a field holding a comma, a quote, a carriage
+    return or a newline is quoted, its quotes doubled, so ``csv.reader`` reads
+    it back whole, and the bytes are the same on every Python version
+    (``csv.writer``'s quoting of a lone CR is not); any other is as it is."""
+    text = str(text)
+    needs_quotes = any(c in text for c in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if needs_quotes else text
+
+
 def write_ranking_csv(path, ranking: SimilarityRanking) -> None:
-    """One row per ranked shape, ``id,score,label``. An id or a label holding a
-    comma, a quote, a carriage return or a newline is quoted, its quotes
-    doubled, so ``csv.reader`` reads it back whole, and the bytes are the same
-    on every Python version (``csv.writer``'s quoting of a lone CR is not)."""
-
-    def field(text) -> str:
-        text = str(text)
-        needs_quotes = any(c in text for c in ',"\r\n')
-        return '"' + text.replace('"', '""') + '"' if needs_quotes else text
-
-    label = field(ranking.label)
+    """One row per ranked shape, ``id,score,label``, id and label quoted by
+    ``_csv_field``."""
+    label = _csv_field(ranking.label)
     with open_new(path) as f:
         f.write("shape_id,score,label\n")
-        f.writelines(f"{field(i)},{float(s)!r},{label}\n" for i, s in ranking)
+        f.writelines(f"{_csv_field(i)},{float(s)!r},{label}\n" for i, s in ranking)
 
 
 def write_assignment_csv(path, ids: list, assignment: ClusterAssignment) -> None:
+    """One row per shape, ``id,cluster``, the id quoted by ``_csv_field``."""
     with open_new(path) as f:
         f.write("shape_id,cluster\n")
-        for i, c in zip(ids, assignment.labels):
-            f.write(f"{i},{c}\n")
+        f.writelines(f"{_csv_field(i)},{c}\n" for i, c in zip(ids, assignment.labels))
 
 
 def write_scatter_data(path, bundle: CoefficientStack) -> None:

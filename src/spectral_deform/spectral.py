@@ -410,24 +410,6 @@ def load_coeff_dir(directory) -> CoefficientStack:
     return stack
 
 
-def _fix_signs(vecs: np.ndarray) -> None:
-    """Make the largest-magnitude entry of each column positive, in place.
-
-    Ties are resolved by the first entry within 1e-6 of the maximum: on
-    symmetric meshes entries come in +-pairs of equal magnitude, and a plain
-    argmax would flip between solvers on rounding noise. Works _BAND_K
-    columns at a time, so its temporaries are a few blocks, not the basis.
-    """
-    for j in range(0, vecs.shape[1], _BAND_K):
-        block = vecs[:, j:j + _BAND_K]
-        absv = np.abs(block)
-        near_max = absv >= (1.0 - 1e-6) * absv.max(axis=0)
-        idx = near_max.argmax(axis=0)  # first near-maximal entry per column
-        signs = np.sign(block[idx, np.arange(block.shape[1])])
-        signs[signs == 0] = 1.0
-        block *= signs
-
-
 def eigsh(*args, **kwargs):
     """scipy's ``scipy.sparse.linalg.eigsh``, imported on the first call.
 
@@ -518,24 +500,43 @@ def _banded_eigsh(L: sparse.spmatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
     return kept_vals, kept_vecs
 
 
-def _verify(L: sparse.spmatrix, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise EigensolverError unless the eigenpairs meet criterion 1."""
-    bound = _RESIDUAL_TOL * max(1.0, abs(L).max())
-    # column blocks keep the residual's temporaries small at large N*M
+def _checked_basis(
+    L: sparse.spmatrix, vals: np.ndarray, vecs: np.ndarray, operator_fingerprint: str
+) -> SpectralBasis:
+    """The basis of a fresh solve's ascending eigenpairs, checked and signed.
+
+    One walk over _BAND_K columns at a time, so its temporaries are a few
+    blocks, not the basis: each block's eigenpair residual, then its signs,
+    in place. The largest-magnitude entry of each column is made positive,
+    ties going to the first entry within 1e-6 of the maximum: on symmetric
+    meshes entries come in +-pairs of equal magnitude, and a plain argmax
+    would flip between solvers on rounding noise. A sign flips a whole
+    column, so neither check below sees it. Raises EigensolverError unless
+    the eigenpairs meet criterion 1.
+    """
     residual = 0.0
     for j in range(0, len(vals), _BAND_K):
         block = vecs[:, j:j + _BAND_K]
-        residual = max(residual, np.abs(L @ block - block * vals[j:j + _BAND_K]).max())
+        # np.maximum keeps a NaN, which max() would drop
+        residual = np.maximum(residual,
+                              np.abs(L @ block - block * vals[j:j + _BAND_K]).max())
+        absv = np.abs(block)
+        idx = (absv >= (1.0 - 1e-6) * absv.max(axis=0)).argmax(axis=0)
+        signs = np.sign(block[idx, np.arange(block.shape[1])])
+        signs[signs == 0] = 1.0
+        block *= signs
+    bound = _RESIDUAL_TOL * max(1.0, abs(L).max())
     if not residual <= bound:
-        raise EigensolverError(
-            f"eigenpair residual {residual:.3g} exceeds {bound:.3g}"
-        )
+        raise EigensolverError(f"eigenpair residual {residual:.3g} exceeds {bound:.3g}")
     ortho = np.abs(vecs.T @ vecs - np.eye(len(vals))).max()
     if not ortho <= _ORTHONORMALITY_TOL:
         raise EigensolverError(
             f"eigenvector orthonormality error {ortho:.3g} exceeds "
             f"{_ORTHONORMALITY_TOL:g}"
         )
+    for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
+        a.setflags(write=False)
+    return SpectralBasis(vals, vecs, operator_fingerprint)
 
 
 def eigendecompose(
@@ -574,12 +575,7 @@ def eigendecompose(
                                  overwrite_a=True)
     else:
         vals, vecs = _banded_eigsh(L, m)
-    _verify(L, vals, vecs)
-    _fix_signs(vecs)
-    for a in (vals, vecs):  # fresh arrays, frozen so that the basis needs no copy
-        a.setflags(write=False)
-    # both paths return ascending eigenvalues
-    return SpectralBasis(vals, vecs, operator_fingerprint)
+    return _checked_basis(L, vals, vecs, operator_fingerprint)
 
 
 def _check_fingerprint(a: str, b: str, what: str) -> None:

@@ -1,4 +1,5 @@
 import ast
+import csv
 import filecmp
 import json
 import os
@@ -53,6 +54,20 @@ def other_bases(pipeline):
         assert main(["encode", "--bundle", bundle, "--basis", basis,
                      "--out", out[name]]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def hat_bundles(tmp_path_factory):
+    """Two bundles of one N (672) and different base meshes, the second with
+    a wider hat, and a basis of the first: (narrow, wide, basis)."""
+    root = tmp_path_factory.mktemp("hats")
+    gen = ["generate", "--per-mode", "3", "3", "3", "--axial-segments", "20",
+           "--section-segments", "8"]
+    narrow, wide, basis = str(root / "narrow"), str(root / "wide"), str(root / "b.spbs")
+    assert main(gen + ["--out", narrow]) == 0
+    assert main(gen + ["--hat-width", "90", "--out", wide]) == 0
+    assert main(["decompose", "--bundle", narrow, "--modes", "40", "--out", basis]) == 0
+    return narrow, wide, basis
 
 
 def _mixed_dir(pipeline, other_bases, tmp_path):
@@ -223,6 +238,67 @@ class TestEncode:
         _, mismatch, errors = filecmp.cmpfiles(coeffs, out, names, shallow=False)
         assert mismatch == errors == []
 
+    def test_basis_of_another_mesh_exit_2_writes_nothing(self, hat_bundles, tmp_path,
+                                                        capsys):
+        _, wide, basis = hat_bundles
+        out = tmp_path / "coeffs"
+        assert main(["encode", "--bundle", wide, "--basis", basis, "--out", str(out)]) == 2
+        assert (f"SPBS file {basis} does not fit bundle {wide}: its operator is "
+                "neither Laplacian of the mesh") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_basis_of_another_n_exit_2_writes_nothing(self, pipeline, hat_bundles,
+                                                      tmp_path, capsys):
+        _, _, basis, _ = pipeline
+        narrow, _, _ = hat_bundles
+        out = tmp_path / "coeffs"
+        assert main(["encode", "--bundle", narrow, "--basis", basis,
+                     "--out", str(out)]) == 2
+        n = sd.SpectralBasis.load(basis).n
+        assert (f"SPBS file {basis} does not fit bundle {narrow}: the basis has N={n}, "
+                "the mesh N=672") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_operator_check_builds_the_uniform_operator_only_when_needed(
+        self, pipeline, other_bases, tmp_path, monkeypatch
+    ):
+        _, bundle, basis, _ = pipeline
+        built = []
+        monkeypatch.setattr(cli, "uniform_laplacian",
+                            lambda mesh: built.append(1) or sd.uniform_laplacian(mesh))
+        assert main(["encode", "--bundle", bundle, "--basis", basis,
+                     "--out", str(tmp_path / "cot")]) == 0
+        assert built == []
+        # a uniform basis still encodes, to the same files as before the check
+        uniform = os.path.join(os.path.dirname(basis), "uniform.spbs")
+        out = tmp_path / "uni"
+        assert main(["encode", "--bundle", bundle, "--basis", uniform,
+                     "--out", str(out)]) == 0
+        assert built == [1]
+        names = sorted(os.listdir(other_bases["uniform"]))
+        assert sorted(os.listdir(out)) == names
+        assert filecmp.cmpfiles(other_bases["uniform"], out, names, shallow=False)[0] == names
+
+    def test_uniform_basis_of_a_mesh_without_cotangent_operator_encodes(
+        self, pipeline, tmp_path
+    ):
+        # one base vertex moved onto its neighbour: the triangles holding both
+        # have no area, so only the uniform operator of the mesh exists
+        copy = _copy_bundle(pipeline, tmp_path)
+        base = sd.load_mesh(copy / "base.off")
+        a, b = base.triangles[0][:2]
+        vertices = base.vertices.copy()
+        vertices[a] = vertices[b]
+        (copy / "base.off").unlink()
+        sd.save_mesh(copy / "base.off", base.with_vertices(vertices))
+        basis = str(tmp_path / "u.spbs")
+        assert main(["decompose", "--bundle", str(copy), "--operator", "cotangent",
+                     "--modes", "10", "--out", basis]) == 2
+        assert main(["decompose", "--bundle", str(copy), "--operator", "uniform",
+                     "--modes", "10", "--out", basis]) == 0
+        assert main(["encode", "--bundle", str(copy), "--basis", basis,
+                     "--out", str(tmp_path / "coeffs")]) == 0
+
 
 class TestDescriptor:
     def test_statistical_default(self, pipeline, tmp_path):
@@ -365,6 +441,20 @@ class TestReconstruct:
         code, out, _ = self._run(pipeline, tmp_path, other_bases[basis])
         assert code == 2
         assert "different bases" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mesh_of_another_n_exit_2_writes_nothing(self, pipeline, hat_bundles,
+                                                     tmp_path, capsys):
+        _, _, basis, coeffs = pipeline
+        narrow, _, _ = hat_bundles
+        shape, mesh = os.path.join(coeffs, "006.csv"), os.path.join(narrow, "base.off")
+        desc, out = str(tmp_path / "d.json"), tmp_path / "recon"
+        assert main(["descriptor", "--coeffs", shape, "--out", desc]) == 0
+        assert main(["reconstruct", "--basis", basis, "--coeffs", shape,
+                     "--descriptor", desc, "--mesh", mesh, "--out", str(out)]) == 2
+        n = sd.SpectralBasis.load(basis).n
+        assert (f"SPBS file {basis} does not fit mesh {mesh}: the basis has N={n}, "
+                "the mesh N=672") in capsys.readouterr().err
         assert not out.exists()
 
     def test_two_reconstructions_per_call(self, pipeline, tmp_path, monkeypatch):
@@ -573,6 +663,19 @@ class TestCluster:
         assert code == 2
         assert "1 <= m <= M=40, got 41" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ids_that_need_quoting_read_back_whole(self, pipeline, tmp_path):
+        coeffs = _copy_coeffs(pipeline, tmp_path)
+        (coeffs / STACK).unlink()
+        (coeffs / "003.csv").rename(coeffs / "a,b.csv")
+        (coeffs / "004.csv").rename(coeffs / 'say "hi".csv')
+        out = tmp_path / "a.csv"
+        assert main(["cluster", "--coeffs-dir", str(coeffs), "-k", "3",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["shape_id"] for r in rows] == list(sd.load_coeff_dir(coeffs).ids)
+        assert {r["cluster"] for r in rows} == {"0", "1", "2"}
 
     def test_first_m_without_its_feature_exit_2(self, pipeline, tmp_path, capsys):
         # refused, rather than ignored in favour of the first-eigenvector clusters
@@ -795,6 +898,7 @@ STACK_FAULTS = {
     # only the sizes tell this from the stack's copies
     "row_moved_to_next_csv": lambda d: _move_last_row(d / "003.csv", d / "004.csv"),
     "first_size_absurd": lambda d: _set_first_size(d / STACK, 2**62),
+    "byte_appended": lambda d: (d / STACK).write_bytes((d / STACK).read_bytes() + b"\0"),
 }
 # parsing refuses these directories (exit 2), and so must a query of the stack
 PARSE_REFUSED = {"row_moved_to_next_csv"}
@@ -1402,6 +1506,67 @@ def test_rerun_replaces_outputs(stage, pipeline, tmp_path):
     finally:
         for f in held:
             f.close()
+
+
+def _verbose_case(stage, pipeline, tmp_path):
+    """The arguments of one stage, and a function of what the stage wrote
+    that gives the lines its ``--verbose`` must print."""
+    _, bundle, basis, coeffs = pipeline
+    out = str(tmp_path / "out")
+    shape = os.path.join(coeffs, "006.csv")
+
+    def descriptor_lines():
+        d = sd.DeformationDescriptor.load(out)
+        return [f"wrote descriptor: t={d.threshold:g}, size_M={d.size_m} -> {out}"]
+
+    def tuned_lines():
+        with warnings.catch_warnings():  # the stage printed its warning already
+            warnings.simplefilter("ignore")
+            t, _, achieved = sd.tune_threshold(sd.SpectralCoefficients.load_csv(shape),
+                                               sd.SpectralBasis.load(basis), 0.05)
+        return [f"tuned t={t:g}, achieved RMS {achieved:g}"] + descriptor_lines()
+
+    def reconstruct_lines():
+        with open(os.path.join(out, "errors.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        return [f"{name}: RMS {float(err):g}" for name, err in rows]
+
+    def cluster_lines():
+        stack = sd.load_coeff_dir(coeffs)
+        return [f"k=3 inertia {sd.cluster_coefficients(stack, 3).inertia:g} -> {out}"]
+
+    desc = str(tmp_path / "in.json")
+    if stage in ("reconstruct", "filter"):
+        assert main(["descriptor", "--coeffs", shape, "--augment", "--out", desc]) == 0
+    n = sd.SpectralBasis.load(basis).n
+    return {
+        "generate": (GEN + ["--out", out],
+                     lambda: [f"wrote bundle: N={n}, 9 states -> {out}"]),
+        "decompose": (["decompose", "--bundle", bundle, "--modes", "40", "--out", out],
+                      lambda: [f"wrote basis: N={n}, M=40 -> {out}"]),
+        "encode": (["encode", "--bundle", bundle, "--basis", basis, "--out", out],
+                   lambda: [f"wrote 10 coefficient CSVs and the stack of the 9 shapes "
+                            f"-> {out}"]),
+        "descriptor": (["descriptor", "--coeffs", shape, "--out", out], descriptor_lines),
+        "descriptor --tune": (["descriptor", "--coeffs", shape, "--tune", "0.05",
+                               "--basis", basis, "--out", out], tuned_lines),
+        "reconstruct": (["reconstruct", "--basis", basis, "--coeffs", shape,
+                         "--descriptor", desc, "--mesh", os.path.join(bundle, "base.off"),
+                         "--out", out], reconstruct_lines),
+        "filter": (["filter", "--descriptor", desc, "--coeffs-dir", coeffs, "--top-k", "3",
+                    "--out", out], lambda: [f"wrote 3 ranked shapes -> {out}"]),
+        "cluster": (["cluster", "--coeffs-dir", coeffs, "-k", "3", "--out", out],
+                    cluster_lines),
+    }[stage]
+
+
+@pytest.mark.parametrize("stage", ["generate", "decompose", "encode", "descriptor",
+                                   "descriptor --tune", "reconstruct", "filter", "cluster"])
+def test_verbose_says_what_each_stage_wrote(stage, pipeline, tmp_path, capsys):
+    argv, lines = _verbose_case(stage, pipeline, tmp_path)
+    capsys.readouterr()
+    assert main(["--verbose"] + argv) == 0
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines())
 
 
 # a fresh interpreter runs the given stages through cli.main and prints, per

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spectral_deform as sd
+from spectral_deform.retrieval import _kmeans_pp_init, _lloyd
 from spectral_deform.spectral import FingerprintMismatchError
 
 
@@ -229,6 +230,21 @@ class TestClustering:
         with pytest.raises(ValueError, match=f"1 <= m <= M=6, got {m}"):
             sd.cluster_coefficients(bundle, 2, feature="first_m", m=m)
 
+    def test_lloyd_reseeds_an_empty_cluster_at_the_farthest_point(self):
+        # the third center is nearest to no point; it moves onto a point
+        x = np.array([[0.0], [1.0], [10.0], [11.0]])
+        labels, centers, inertia = _lloyd(x, np.array([[0.5], [10.5], [100.0]]))
+        assert labels.tolist() == [2, 0, 1, 1]
+        assert centers.ravel().tolist() == [1.0, 10.5, 0.0]
+        assert inertia == 0.5
+
+    def test_kmeans_pp_init_when_all_points_coincide_with_a_center(self):
+        # squared distances of 1e-200 underflow to 0: no point can be drawn
+        # by distance, so the next center is drawn uniformly
+        x = np.array([[0.0], [1e-200]])
+        centers = _kmeans_pp_init(x, 2, np.random.default_rng(0))
+        assert set(centers.ravel()) <= {0.0, 1e-200}
+
     def test_unknown_feature_rejected(self):
         bundle, _ = self._blobs()
         with pytest.raises(ValueError, match="unknown feature 'eigenvalues'"):
@@ -261,6 +277,22 @@ class TestExports:
             rows = list(csv.DictReader(f))
         assert rows == [{"shape_id": "a", "score": "1.0", "label": label},
                         {"shape_id": "b,c", "score": "-0.5", "label": label}]
+
+    def test_assignment_csv_bytes_of_plain_ids(self, tmp_path):
+        assign = sd.ClusterAssignment(np.array([1, 0]), np.zeros((2, 3)), 0.0)
+        sd.retrieval.write_assignment_csv(tmp_path / "a.csv", ["000", "001"], assign)
+        assert (tmp_path / "a.csv").read_bytes() == b"shape_id,cluster\n000,1\n001,0\n"
+
+    @pytest.mark.parametrize("shape_id", ["a,b", 'say "hi"', "two\nlines", "crlf\r\nend",
+                                          "lone\rcr", ",", '"'])
+    def test_assignment_csv_reads_back_every_id_whole(self, tmp_path, shape_id):
+        assign = sd.ClusterAssignment(np.array([1, 0]), np.zeros((2, 3)), 0.0)
+        path = tmp_path / "a.csv"
+        sd.retrieval.write_assignment_csv(path, [shape_id, "plain"], assign)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows == [{"shape_id": shape_id, "cluster": "1"},
+                        {"shape_id": "plain", "cluster": "0"}]
 
     def test_assignment_csv(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -294,6 +294,20 @@ class TestVerification:
         with pytest.raises(EigensolverError, match="residual"):
             sd.eigendecompose(L, 20, method="dense")
 
+    def test_nan_eigenvalue_rejected(self, small_beam, monkeypatch):
+        # its residual is NaN in the last block: the check must not drop it
+        real = dla.eigh
+
+        def nan_last(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            vals[-1] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(dla, "eigh", nan_last)
+        L = sd.cotangent_laplacian(small_beam)
+        with pytest.raises(EigensolverError, match="eigenpair residual nan exceeds"):
+            sd.eigendecompose(L, 80, method="dense")
+
 
 class TestEncodeDecode:
     def test_eigenvector_encodes_to_unit(self, grid_basis):
